@@ -265,27 +265,6 @@ BENCHMARK(BM_SparseGramApply)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplyScalar)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplySell)->Arg(2000)->Arg(8000)->Arg(20000);
 
-// Both-endpoint Gram action (the fused refresh building block), dispatched.
-void BM_SparseGramApplyBoth(benchmark::State& state) {
-  const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
-  state.SetLabel(ResolvedName(m));
-  const SparseIntervalMatrix mt = m.Transpose();
-  const SparseGramOperator gram(m, mt,
-                                SparseIntervalMatrix::Endpoint::kUpper);
-  std::vector<double> x(gram.Dim(), 1.0), y_lo, y_hi;
-  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-  for (auto _ : state) {
-    gram.ApplyBoth(x, y_lo, y_hi);
-    benchmark::DoNotOptimize(y_lo.data());
-    benchmark::DoNotOptimize(y_hi.data());
-  }
-  ReportMatvecCounters(state, before);
-  // Both endpoints stream the pattern twice (forward + transpose pass).
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
-                          static_cast<int64_t>(m.nnz()));
-}
-BENCHMARK(BM_SparseGramApplyBoth)->Arg(2000)->Arg(8000)->Arg(20000);
-
 // -- Differential self-check (--check) ---------------------------------------
 //
 // Compares every dispatched kernel entry point against the scalar reference
@@ -328,20 +307,19 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
     for (size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.Uniform(-1.0, 1.0);
 
   bool ok = true;
-  std::vector<double> want, want2, got, got2;
+  std::vector<double> want, got;
   const auto kLower = SparseIntervalMatrix::Endpoint::kLower;
   const auto kUpper = SparseIntervalMatrix::Endpoint::kUpper;
 
   scalar.Multiply(kLower, x, want);
   m.Multiply(kLower, x, got);
-  ok &= VectorsAgree(got, want, (label + "/multiply").c_str());
+  ok &= VectorsAgree(got, want, (label + "/multiply.lo").c_str());
+  scalar.Multiply(kUpper, x, want);
+  m.Multiply(kUpper, x, got);
+  ok &= VectorsAgree(got, want, (label + "/multiply.hi").c_str());
   scalar.MultiplyMid(x, want);
   m.MultiplyMid(x, got);
   ok &= VectorsAgree(got, want, (label + "/mid").c_str());
-  scalar.MultiplyBoth(x, want, want2);
-  m.MultiplyBoth(x, got, got2);
-  ok &= VectorsAgree(got, want, (label + "/both.lo").c_str());
-  ok &= VectorsAgree(got2, want2, (label + "/both.hi").c_str());
   scalar.MultiplyTranspose(kUpper, xt, want);
   m.MultiplyTranspose(kUpper, xt, got);
   ok &= VectorsAgree(got, want, (label + "/transpose").c_str());
@@ -352,12 +330,12 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
   std::vector<double> dg(dense_got.data(),
                          dense_got.data() + dense_got.rows() * 4);
   ok &= VectorsAgree(dg, dw, (label + "/dense").c_str());
-  const SparseGramOperator scalar_gram(scalar, scalar_t, kLower);
-  const SparseGramOperator gram(m, mt, kLower);
-  scalar_gram.ApplyBoth(x, want, want2);
-  gram.ApplyBoth(x, got, got2);
-  ok &= VectorsAgree(got, want, (label + "/gram.lo").c_str());
-  ok &= VectorsAgree(got2, want2, (label + "/gram.hi").c_str());
+  for (const auto e : {kLower, kUpper}) {
+    SparseGramOperator(scalar, scalar_t, e).Apply(x, want);
+    SparseGramOperator(m, mt, e).Apply(x, got);
+    ok &= VectorsAgree(
+        got, want, (label + (e == kLower ? "/gram.lo" : "/gram.hi")).c_str());
+  }
   return ok;
 }
 

@@ -23,11 +23,120 @@ using isvd_internal::ScaleColumnsByInverseSigma;
 using isvd_internal::SqrtClamped;
 
 using Endpoint = SparseIntervalMatrix::Endpoint;
+using Part = SparseEndpointMap::Part;
+
+// ---------------------------------------------------------------------------
+// Per-store helpers: everything the strategies below do differently on the
+// CSR SparseIntervalMatrix and on the ShardedSparseIntervalMatrix.
+//
+// The CSR store honours GramSide and materializes the transpose its
+// operators read (charged to preprocess). The sharded store always
+// eigendecomposes MᵀM (ShardedGramOperator is M_eᵀ(M_e x) by construction)
+// and never materializes a transposed store — transpose actions run as
+// shard scatter reductions — so GramSide::kMMt / kAuto collapse to kMtM.
+// Wide matrices that would have preferred MMᵀ pay a cols² scratch; an
+// out-of-core store cannot afford a second copy of itself.
+// ---------------------------------------------------------------------------
 
 GramSide ResolveSide(const SparseIntervalMatrix& m, GramSide side) {
   if (side != GramSide::kAuto) return side;
   return m.cols() <= m.rows() ? GramSide::kMtM : GramSide::kMMt;
 }
+
+GramSide ResolveSide(const ShardedSparseIntervalMatrix&, GramSide) {
+  return GramSide::kMtM;
+}
+
+// Binds the working matrix (M† or M†ᵀ) without copying the CSR arrays in
+// the common non-transposed case; `storage` only materializes on the kMMt
+// route.
+const SparseIntervalMatrix& BindWork(const SparseIntervalMatrix& m,
+                                     bool transposed,
+                                     SparseIntervalMatrix& storage) {
+  if (!transposed) return m;
+  storage = m.Transpose();
+  return storage;
+}
+
+const ShardedSparseIntervalMatrix& BindWork(
+    const ShardedSparseIntervalMatrix& m, bool transposed,
+    ShardedSparseIntervalMatrix& /*storage*/) {
+  IVMF_CHECK_MSG(!transposed,
+                 "a sharded store only runs a GramEig computed on MᵀM");
+  return m;
+}
+
+// The transpose the operators read. CSR builds it once and charges it to
+// `*seconds`; the sharded store has none, and `*seconds` stays untouched.
+struct NoTranspose {};
+
+SparseIntervalMatrix OperatorTranspose(const SparseIntervalMatrix& m,
+                                       double* seconds) {
+  Stopwatch sw;
+  SparseIntervalMatrix mt = m.Transpose();
+  *seconds = sw.Seconds();
+  return mt;
+}
+
+NoTranspose OperatorTranspose(const ShardedSparseIntervalMatrix&, double*) {
+  return {};
+}
+
+SparseEndpointMap EndpointMap(const SparseIntervalMatrix& m,
+                              const SparseIntervalMatrix& mt, Part part) {
+  return SparseEndpointMap(m, mt, part);
+}
+
+ShardedEndpointMap EndpointMap(const ShardedSparseIntervalMatrix& m,
+                               NoTranspose, Part part) {
+  return ShardedEndpointMap(m, part);
+}
+
+SparseGramOperator GramOperator(const SparseIntervalMatrix& m,
+                                const SparseIntervalMatrix& mt, Endpoint e) {
+  return SparseGramOperator(m, mt, e);
+}
+
+ShardedGramOperator GramOperator(const ShardedSparseIntervalMatrix& m,
+                                 NoTranspose, Endpoint e) {
+  return ShardedGramOperator(m, e);
+}
+
+// workᵀ B, the ISVD4 recompute product, where work = m (or mᵀ when
+// `transposed`). CSR runs a forward interval product on the transposed
+// matrix — on the kMMt route workᵀ is just `m` again, so no transpose needs
+// building at all. The sharded store runs the transposed product directly
+// as a shard scatter reduction.
+IntervalMatrix WorkTransposeTimes(const SparseIntervalMatrix& m,
+                                  bool transposed, const Matrix& b) {
+  if (transposed) return m.IntervalMultiplyDense(b);
+  return m.Transpose().IntervalMultiplyDense(b);
+}
+
+IntervalMatrix WorkTransposeTimes(const ShardedSparseIntervalMatrix& m,
+                                  bool /*transposed*/, const Matrix& b) {
+  return m.IntervalMultiplyDenseTranspose(b);
+}
+
+Matrix DenseGram(const SparseIntervalMatrix& m, Endpoint e) {
+  return SparseGramOperator::DenseGram(m, e);
+}
+
+Matrix DenseGram(const ShardedSparseIntervalMatrix& m, Endpoint e) {
+  return ShardedSparseIntervalMatrix::DenseGram(m, e);
+}
+
+IntervalMatrix DenseGramEndpoints(const SparseIntervalMatrix& m) {
+  return SparseGramOperator::DenseGramEndpoints(m);
+}
+
+IntervalMatrix DenseGramEndpoints(const ShardedSparseIntervalMatrix& m) {
+  return ShardedSparseIntervalMatrix::DenseGramEndpoints(m);
+}
+
+// ---------------------------------------------------------------------------
+// Store-independent pieces.
+// ---------------------------------------------------------------------------
 
 // Per-endpoint Krylov options: the shared policy plus the endpoint's
 // warm-start basis (when the streaming driver carried one).
@@ -38,17 +147,11 @@ LanczosOptions SideLanczos(const IsvdOptions& options, bool upper) {
   return lanczos;
 }
 
-// Degenerate 0 x m / n x 0 shapes: the empty decomposition, factors shaped
-// to match. The dense path never hits this (dense constructions always have
-// cells); the sparse entry points guard it so CLI / streaming callers fed an
-// empty matrix get a well-formed rank-0 result instead of an abort.
-// Templated over the matrix type: the monolithic CSR and the sharded store
-// share these helpers (both expose rows/cols/MultiplyDense/...).
-template <typename SparseMat>
-bool DegenerateShape(const SparseMat& m) {
-  return m.rows() == 0 || m.cols() == 0;
-}
-
+// Degenerate 0 x m / n x 0 shapes (m.empty()): the empty decomposition,
+// factors shaped to match. The dense path never hits this (dense
+// constructions always have cells); the sparse entry points guard it so CLI
+// / streaming callers fed an empty matrix get a well-formed rank-0 result
+// instead of an abort.
 template <typename SparseMat>
 IsvdResult EmptyResult(const SparseMat& m, DecompositionTarget target) {
   IsvdResult result;
@@ -67,17 +170,23 @@ Matrix RecoverLeftFactor(const SparseMat& m, Endpoint e, const Matrix& v,
   return u;
 }
 
-void SwapFactors(IsvdResult& result) { std::swap(result.u, result.v); }
+// Factors of a Gram-route result computed on M†ᵀ come back swapped.
+void FinishGramResult(const GramEig& gram, IsvdResult& result) {
+  result.iterations = gram.iterations;
+  if (gram.transposed) std::swap(result.u, result.v);
+}
 
-// Binds the working matrix (M† or M†ᵀ) without copying the CSR arrays in
-// the common non-transposed case; `storage` only materializes on the kMMt
-// route.
-const SparseIntervalMatrix& BindWork(const SparseIntervalMatrix& m,
-                                     bool transposed,
-                                     SparseIntervalMatrix& storage) {
-  if (!transposed) return m;
-  storage = m.Transpose();
-  return storage;
+// Both endpoint eigensolves of the materialized result.gram, on two threads.
+void SolveDenseGram(size_t r, bool use_lanczos, const IsvdOptions& options,
+                    GramEig& result) {
+  ParallelFor(0, 2, [&](size_t side) {
+    const Matrix& endpoint =
+        side == 0 ? result.gram.lower() : result.gram.upper();
+    EigResult& out = side == 0 ? result.lo : result.hi;
+    out = use_lanczos
+              ? ComputeLanczosEig(endpoint, r, SideLanczos(options, side == 1))
+              : ComputeSymmetricEig(endpoint, r, options.eig);
+  });
 }
 
 // The shared ISVD3/ISVD4 front half on the sparse path (mirrors the dense
@@ -123,24 +232,20 @@ SolvedLeft SolveLeftFactor(const SparseMat& work, const GramEig& gram,
   return out;
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // ISVD0 — average and decompose (Section 4.1), matrix-free.
 // ---------------------------------------------------------------------------
 
-IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
-                 const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, DecompositionTarget::kC);
+template <typename SparseMat>
+IsvdResult Isvd0Impl(const SparseMat& m, size_t rank,
+                     const IsvdOptions& options) {
+  if (m.empty()) return EmptyResult(m, DecompositionTarget::kC);
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
   PhaseTimings timings;
+  const auto mt = OperatorTranspose(m, &timings.preprocess);
 
   Stopwatch sw;
-  const SparseIntervalMatrix mt = m.Transpose();
-  timings.preprocess = sw.Seconds();
-
-  sw.Restart();
-  const SparseEndpointMap mid(m, mt, SparseEndpointMap::Part::kMid);
+  const auto mid = EndpointMap(m, mt, Part::kMid);
   // ISVD0's single midpoint solve reads the lo warm-basis slot.
   const SvdResult svd = ComputeLanczosSvd(mid, r, SideLanczos(options, false));
   timings.decompose = sw.Seconds();
@@ -164,25 +269,22 @@ IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
 // ISVD1 — decompose and align (Section 4.2), matrix-free.
 // ---------------------------------------------------------------------------
 
-IsvdResult Isvd1(const SparseIntervalMatrix& m, size_t rank,
-                 const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
+template <typename SparseMat>
+IsvdResult Isvd1Impl(const SparseMat& m, size_t rank,
+                     const IsvdOptions& options) {
+  if (m.empty()) return EmptyResult(m, options.target);
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
   PhaseTimings timings;
-
-  Stopwatch sw;
-  const SparseIntervalMatrix mt = m.Transpose();
-  timings.preprocess = sw.Seconds();
+  const auto mt = OperatorTranspose(m, &timings.preprocess);
 
   // Independent endpoint decompositions run on two threads, sharing the
-  // transposed pattern. SparseEndpointMap consumes the endpoint values
-  // directly, so signed matrices need no special casing here.
-  sw.Restart();
+  // CSR transpose. The endpoint maps consume the endpoint values directly,
+  // so signed matrices need no special casing here.
+  Stopwatch sw;
   SvdResult lo, hi;
   ParallelFor(0, 2, [&](size_t side) {
-    const SparseEndpointMap map(m, mt,
-                                side == 0 ? SparseEndpointMap::Part::kLower
-                                          : SparseEndpointMap::Part::kUpper);
+    const auto map =
+        EndpointMap(m, mt, side == 0 ? Part::kLower : Part::kUpper);
     (side == 0 ? lo : hi) =
         ComputeLanczosSvd(map, r, SideLanczos(options, side == 1));
   });
@@ -213,14 +315,14 @@ IsvdResult Isvd1(const SparseIntervalMatrix& m, size_t rank,
 // Shared Gram eigendecomposition for ISVD2–ISVD4.
 // ---------------------------------------------------------------------------
 
-GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
-                       const IsvdOptions& options) {
+template <typename SparseMat>
+GramEig ComputeGramEigImpl(const SparseMat& m, size_t rank,
+                           const IsvdOptions& options) {
   GramEig result;
-  if (DegenerateShape(m)) return result;  // rank-0 eigendecomposition
+  if (m.empty()) return result;  // rank-0 eigendecomposition
   result.transposed = (ResolveSide(m, options.gram_side) == GramSide::kMMt);
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work =
-      BindWork(m, result.transposed, work_storage);
+  SparseMat work_storage;
+  const SparseMat& work = BindWork(m, result.transposed, work_storage);
   const size_t r = isvd_internal::ClampRank(work.rows(), work.cols(), rank);
 
   bool use_lanczos = options.eig_solver != EigSolver::kJacobi;
@@ -235,18 +337,11 @@ GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
     // solver choice the dense path makes — the results are term-for-term
     // identical to IntervalMatMul(M†ᵀ, M†) + eig.
     Stopwatch sw;
-    result.gram = SparseGramOperator::DenseGramEndpoints(work);
+    result.gram = DenseGramEndpoints(work);
     result.preprocess_seconds = sw.Seconds();
 
     sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = use_lanczos
-                ? ComputeLanczosEig(endpoint, r, SideLanczos(options, side == 1))
-                : ComputeSymmetricEig(endpoint, r, options.eig);
-    });
+    SolveDenseGram(r, use_lanczos, options, result);
     result.iterations = result.lo.iterations + result.hi.iterations;
     IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
                    "Lanczos truncated a Gram endpoint spectrum "
@@ -260,32 +355,27 @@ GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
     // from the sparse rows, then Jacobi. For entrywise non-negative input
     // these are exactly the Algorithm-1 interval Gram endpoints.
     Stopwatch sw;
-    Matrix gram_lo = SparseGramOperator::DenseGram(work, Endpoint::kLower);
-    Matrix gram_hi = SparseGramOperator::DenseGram(work, Endpoint::kUpper);
+    Matrix gram_lo = DenseGram(work, Endpoint::kLower);
+    Matrix gram_hi = DenseGram(work, Endpoint::kUpper);
     result.gram = IntervalMatrix(std::move(gram_lo), std::move(gram_hi));
     result.preprocess_seconds = sw.Seconds();
 
     sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = ComputeSymmetricEig(endpoint, r, options.eig);
-    });
+    SolveDenseGram(r, /*use_lanczos=*/false, options, result);
     result.decompose_seconds = sw.Seconds();
     return result;
   }
 
-  // Matrix-free route: the Gram matrix is never formed. Building the shared
-  // transpose once is the whole preprocess phase.
-  Stopwatch sw;
-  const SparseIntervalMatrix work_t = work.Transpose();
-  result.preprocess_seconds = sw.Seconds();
+  // Matrix-free route: the Gram matrix is never formed. On CSR, building
+  // the shared transpose once is the whole preprocess phase; on the sharded
+  // store each Lanczos step is one fused shard-parallel pass and there is
+  // no preprocess phase to charge.
+  const auto work_t = OperatorTranspose(work, &result.preprocess_seconds);
 
-  sw.Restart();
+  Stopwatch sw;
   ParallelFor(0, 2, [&](size_t side) {
     const Endpoint e = side == 0 ? Endpoint::kLower : Endpoint::kUpper;
-    const SparseGramOperator op(work, work_t, e);
+    const auto op = GramOperator(work, work_t, e);
     EigResult& out = side == 0 ? result.lo : result.hi;
     out = ComputeLanczosEig(op, r, SideLanczos(options, side == 1));
   });
@@ -297,12 +387,16 @@ GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
   return result;
 }
 
-IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t rank,
-                 const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;  // rank is baked into `gram`
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work = BindWork(m, gram.transposed, work_storage);
+// ---------------------------------------------------------------------------
+// ISVD2–ISVD4 on a precomputed GramEig (Sections 4.3–4.5).
+// ---------------------------------------------------------------------------
+
+template <typename SparseMat>
+IsvdResult Isvd2Impl(const SparseMat& m, const GramEig& gram,
+                     const IsvdOptions& options) {
+  if (m.empty()) return EmptyResult(m, options.target);
+  SparseMat work_storage;
+  const SparseMat& work = BindWork(m, gram.transposed, work_storage);
   PhaseTimings timings;
   timings.preprocess = gram.preprocess_seconds;
   timings.decompose = gram.decompose_seconds;
@@ -327,342 +421,180 @@ IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t rank,
                   MakeIntervalDiag(s_lo, s_hi),
                   IntervalMatrix(std::move(v_lo), std::move(v_hi)),
                   options.target, timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
+  FinishGramResult(gram, result);
   return result;
 }
 
-IsvdResult Isvd3(const SparseIntervalMatrix& m, size_t rank,
-                 const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work = BindWork(m, gram.transposed, work_storage);
+template <typename SparseMat>
+IsvdResult Isvd3Impl(const SparseMat& m, const GramEig& gram,
+                     const IsvdOptions& options) {
+  if (m.empty()) return EmptyResult(m, options.target);
+  SparseMat work_storage;
+  const SparseMat& work = BindWork(m, gram.transposed, work_storage);
   SolvedLeft solved = SolveLeftFactor(work, gram, options);
   IsvdResult result =
       BuildResult(std::move(solved.u), std::move(solved.sigma),
                   std::move(solved.v), options.target, solved.timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
+  FinishGramResult(gram, result);
   return result;
 }
 
-IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t rank,
-                 const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work = BindWork(m, gram.transposed, work_storage);
+template <typename SparseMat>
+IsvdResult Isvd4Impl(const SparseMat& m, const GramEig& gram,
+                     const IsvdOptions& options) {
+  if (m.empty()) return EmptyResult(m, options.target);
+  SparseMat work_storage;
+  const SparseMat& work = BindWork(m, gram.transposed, work_storage);
   SolvedLeft solved = SolveLeftFactor(work, gram, options);
 
   // Recompute V† from the solved U† (Section 4.5.1). The scalar prefix
-  // S = Σ†⁻¹ (U†ᵀ)⁻¹ is r x n, so V† = (S M†)ᵀ is evaluated as
-  // M†ᵀ Sᵀ — one sparse interval product on the transposed matrix, matching
-  // the dense mixed-product semantics. On the kMMt route workᵀ is just `m`
-  // again, so no transpose needs building at all.
+  // S = Σ†⁻¹ (U†ᵀ)⁻¹ is r x n, so V† = (S M†)ᵀ is evaluated as M†ᵀ Sᵀ —
+  // one sparse interval product on the transposed matrix, matching the
+  // dense mixed-product semantics.
   Stopwatch sw;
   const Matrix u_avg = solved.u.Mid();  // n x r
   const Matrix u_inv = RobustInverse(u_avg, options.cond_threshold);  // r x n
   const Matrix s_t = (solved.sigma_inv * u_inv).Transpose();          // n x r
-  SparseIntervalMatrix work_t_storage;
-  const SparseIntervalMatrix& work_t =
-      BindWork(m, !gram.transposed, work_t_storage);
-  const IntervalMatrix v_recomputed = work_t.IntervalMultiplyDense(s_t);
+  const IntervalMatrix v_recomputed =
+      WorkTransposeTimes(m, gram.transposed, s_t);
   solved.timings.recompute = sw.Seconds();
 
   IsvdResult result =
       BuildResult(std::move(solved.u), std::move(solved.sigma), v_recomputed,
                   options.target, solved.timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
+  FinishGramResult(gram, result);
   return result;
+}
+
+template <typename SparseMat>
+IsvdResult RunIsvdImpl(int strategy, const SparseMat& m, size_t rank,
+                       const IsvdOptions& options) {
+  switch (strategy) {
+    case 0:
+      return Isvd0Impl(m, rank, options);
+    case 1:
+      return Isvd1Impl(m, rank, options);
+    case 2:
+      return Isvd2Impl(m, ComputeGramEigImpl(m, rank, options), options);
+    case 3:
+      return Isvd3Impl(m, ComputeGramEigImpl(m, rank, options), options);
+    case 4:
+      return Isvd4Impl(m, ComputeGramEigImpl(m, rank, options), options);
+    default:
+      IVMF_CHECK_MSG(false, "ISVD strategy must be 0..4");
+      return {};
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Public overloads: the CSR store.
+// ---------------------------------------------------------------------------
+
+IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
+                 const IsvdOptions& options) {
+  return Isvd0Impl(m, rank, options);
+}
+
+IsvdResult Isvd1(const SparseIntervalMatrix& m, size_t rank,
+                 const IsvdOptions& options) {
+  return Isvd1Impl(m, rank, options);
+}
+
+GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
+                       const IsvdOptions& options) {
+  return ComputeGramEigImpl(m, rank, options);
+}
+
+// `rank` is baked into `gram` on the GramEig forms.
+IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t /*rank*/,
+                 const GramEig& gram, const IsvdOptions& options) {
+  return Isvd2Impl(m, gram, options);
+}
+
+IsvdResult Isvd3(const SparseIntervalMatrix& m, size_t /*rank*/,
+                 const GramEig& gram, const IsvdOptions& options) {
+  return Isvd3Impl(m, gram, options);
+}
+
+IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t /*rank*/,
+                 const GramEig& gram, const IsvdOptions& options) {
+  return Isvd4Impl(m, gram, options);
 }
 
 IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  return Isvd2(m, rank, ComputeGramEig(m, rank, options), options);
+  return Isvd2Impl(m, ComputeGramEigImpl(m, rank, options), options);
 }
 
 IsvdResult Isvd3(const SparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  return Isvd3(m, rank, ComputeGramEig(m, rank, options), options);
+  return Isvd3Impl(m, ComputeGramEigImpl(m, rank, options), options);
 }
 
 IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  return Isvd4(m, rank, ComputeGramEig(m, rank, options), options);
+  return Isvd4Impl(m, ComputeGramEigImpl(m, rank, options), options);
 }
 
 IsvdResult RunIsvd(int strategy, const SparseIntervalMatrix& m, size_t rank,
                    const IsvdOptions& options) {
-  switch (strategy) {
-    case 0:
-      return Isvd0(m, rank, options);
-    case 1:
-      return Isvd1(m, rank, options);
-    case 2:
-      return Isvd2(m, rank, options);
-    case 3:
-      return Isvd3(m, rank, options);
-    case 4:
-      return Isvd4(m, rank, options);
-    default:
-      IVMF_CHECK_MSG(false, "ISVD strategy must be 0..4");
-      return {};
-  }
+  return RunIsvdImpl(strategy, m, rank, options);
 }
 
 // ---------------------------------------------------------------------------
-// Sharded (block-row) overloads — the out-of-core route.
-//
-// These mirror the monolithic functions above through the unchanged Lanczos
-// drivers; all O(nnz) work runs through the shard-parallel kernels, which
-// stream mmap'd segments when the store is disk-backed. One structural
-// difference: the sharded route always eigendecomposes MᵀM (ShardedGramOp-
-// erator is M_eᵀ(M_e x) by construction) and never materializes a transposed
-// store — the transpose actions run as shard scatter reductions instead —
-// so GramSide::kMMt / kAuto collapse to kMtM here. Wide matrices that would
-// have preferred MMᵀ pay a cols² scratch; an out-of-core store cannot
-// afford a second copy of itself.
+// Public overloads: the sharded store (the out-of-core route).
 // ---------------------------------------------------------------------------
 
 IsvdResult Isvd0(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, DecompositionTarget::kC);
-  const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
-  PhaseTimings timings;  // no transpose to build: preprocess stays zero
-
-  Stopwatch sw;
-  const ShardedEndpointMap mid(m, ShardedEndpointMap::Part::kMid);
-  const SvdResult svd = ComputeLanczosSvd(mid, r, SideLanczos(options, false));
-  timings.decompose = sw.Seconds();
-  IVMF_CHECK_MSG(!svd.truncated,
-                 "Lanczos SVD truncated the midpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
-
-  IsvdResult result;
-  result.iterations = svd.iterations;
-  result.target = DecompositionTarget::kC;  // ISVD0 is inherently scalar.
-  result.u = IntervalMatrix::FromScalar(svd.u);
-  result.v = IntervalMatrix::FromScalar(svd.v);
-  result.sigma.resize(svd.sigma.size());
-  for (size_t j = 0; j < svd.sigma.size(); ++j)
-    result.sigma[j] = Interval::Scalar(svd.sigma[j]);
-  result.timings = timings;
-  return result;
+  return Isvd0Impl(m, rank, options);
 }
 
 IsvdResult Isvd1(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
-  PhaseTimings timings;
-
-  Stopwatch sw;
-  SvdResult lo, hi;
-  ParallelFor(0, 2, [&](size_t side) {
-    const ShardedEndpointMap map(m, side == 0
-                                        ? ShardedEndpointMap::Part::kLower
-                                        : ShardedEndpointMap::Part::kUpper);
-    (side == 0 ? lo : hi) =
-        ComputeLanczosSvd(map, r, SideLanczos(options, side == 1));
-  });
-  timings.decompose = sw.Seconds();
-  IVMF_CHECK_MSG(!lo.truncated && !hi.truncated,
-                 "Lanczos SVD truncated an endpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
-
-  sw.Restart();
-  const IlsaResult ilsa = ComputeIlsa(lo.v, hi.v, options.ilsa);
-  Matrix u_lo = lo.u;
-  Matrix v_lo = lo.v;
-  std::vector<double> s_lo = lo.sigma;
-  AlignMinSide(ilsa, &u_lo, &v_lo, &s_lo);
-  timings.align = sw.Seconds();
-
-  IsvdResult result = BuildResult(IntervalMatrix(std::move(u_lo), hi.u),
-                                  MakeIntervalDiag(s_lo, hi.sigma),
-                                  IntervalMatrix(std::move(v_lo), hi.v),
-                                  options.target, timings);
-  result.iterations = lo.iterations + hi.iterations;
-  return result;
+  return Isvd1Impl(m, rank, options);
 }
 
 GramEig ComputeGramEig(const ShardedSparseIntervalMatrix& m, size_t rank,
                        const IsvdOptions& options) {
-  GramEig result;
-  if (DegenerateShape(m)) return result;
-  result.transposed = false;  // always MᵀM on the sharded route (see above)
-  const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
-
-  bool use_lanczos = options.eig_solver != EigSolver::kJacobi;
-  if (options.eig_solver == EigSolver::kAuto) {
-    use_lanczos = 4 * r < m.cols();
-  }
-
-  if (!m.IsNonNegative()) {
-    // Signed route: shard-sequential accumulation in the same addition
-    // order as the monolithic DenseGramEndpoints — bit-identical Grams.
-    Stopwatch sw;
-    result.gram = ShardedSparseIntervalMatrix::DenseGramEndpoints(m);
-    result.preprocess_seconds = sw.Seconds();
-
-    sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = use_lanczos
-                ? ComputeLanczosEig(endpoint, r,
-                                    SideLanczos(options, side == 1))
-                : ComputeSymmetricEig(endpoint, r, options.eig);
-    });
-    result.iterations = result.lo.iterations + result.hi.iterations;
-    IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
-                   "Lanczos truncated a Gram endpoint spectrum "
-                   "(restart exhausted; see LanczosOptions::restart_tolerance)");
-    result.decompose_seconds = sw.Seconds();
-    return result;
-  }
-
-  if (!use_lanczos) {
-    Stopwatch sw;
-    Matrix gram_lo =
-        ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kLower);
-    Matrix gram_hi =
-        ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kUpper);
-    result.gram = IntervalMatrix(std::move(gram_lo), std::move(gram_hi));
-    result.preprocess_seconds = sw.Seconds();
-
-    sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = ComputeSymmetricEig(endpoint, r, options.eig);
-    });
-    result.decompose_seconds = sw.Seconds();
-    return result;
-  }
-
-  // Matrix-free route: no transpose, no Gram — each Lanczos step is one
-  // fused shard-parallel pass over the store. There is no preprocess phase
-  // to charge; it is all decompose time.
-  Stopwatch sw;
-  ParallelFor(0, 2, [&](size_t side) {
-    const Endpoint e = side == 0 ? Endpoint::kLower : Endpoint::kUpper;
-    const ShardedGramOperator op(m, e);
-    EigResult& out = side == 0 ? result.lo : result.hi;
-    out = ComputeLanczosEig(op, r, SideLanczos(options, side == 1));
-  });
-  result.iterations = result.lo.iterations + result.hi.iterations;
-  IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
-                 "Lanczos truncated a Gram endpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
-  result.decompose_seconds = sw.Seconds();
-  return result;
+  return ComputeGramEigImpl(m, rank, options);
 }
 
-IsvdResult Isvd2(const ShardedSparseIntervalMatrix& m, size_t rank,
+IsvdResult Isvd2(const ShardedSparseIntervalMatrix& m, size_t /*rank*/,
                  const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;  // rank is baked into `gram`
-  PhaseTimings timings;
-  timings.preprocess = gram.preprocess_seconds;
-  timings.decompose = gram.decompose_seconds;
-
-  Matrix v_lo = gram.lo.eigenvectors;
-  Matrix v_hi = gram.hi.eigenvectors;
-  std::vector<double> s_lo = SqrtClamped(gram.lo.eigenvalues);
-  std::vector<double> s_hi = SqrtClamped(gram.hi.eigenvalues);
-
-  Stopwatch sw;
-  Matrix u_lo = RecoverLeftFactor(m, Endpoint::kLower, v_lo, s_lo);
-  Matrix u_hi = RecoverLeftFactor(m, Endpoint::kUpper, v_hi, s_hi);
-  timings.solve = sw.Seconds();
-
-  sw.Restart();
-  const IlsaResult ilsa = ComputeIlsa(v_lo, v_hi, options.ilsa);
-  AlignMinSide(ilsa, &u_lo, &v_lo, &s_lo);
-  timings.align = sw.Seconds();
-
-  IsvdResult result =
-      BuildResult(IntervalMatrix(std::move(u_lo), std::move(u_hi)),
-                  MakeIntervalDiag(s_lo, s_hi),
-                  IntervalMatrix(std::move(v_lo), std::move(v_hi)),
-                  options.target, timings);
-  result.iterations = gram.iterations;
-  return result;
+  return Isvd2Impl(m, gram, options);
 }
 
-IsvdResult Isvd3(const ShardedSparseIntervalMatrix& m, size_t rank,
+IsvdResult Isvd3(const ShardedSparseIntervalMatrix& m, size_t /*rank*/,
                  const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;
-  SolvedLeft solved = SolveLeftFactor(m, gram, options);
-  IsvdResult result =
-      BuildResult(std::move(solved.u), std::move(solved.sigma),
-                  std::move(solved.v), options.target, solved.timings);
-  result.iterations = gram.iterations;
-  return result;
+  return Isvd3Impl(m, gram, options);
 }
 
-IsvdResult Isvd4(const ShardedSparseIntervalMatrix& m, size_t rank,
+IsvdResult Isvd4(const ShardedSparseIntervalMatrix& m, size_t /*rank*/,
                  const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;
-  SolvedLeft solved = SolveLeftFactor(m, gram, options);
-
-  // Recompute V† = M†ᵀ Sᵀ (Section 4.5.1). The monolithic path builds the
-  // transposed CSR and runs a forward interval product; a sharded store has
-  // no transpose to build, so the transposed product runs directly as a
-  // shard scatter reduction.
-  Stopwatch sw;
-  const Matrix u_avg = solved.u.Mid();  // n x r
-  const Matrix u_inv = RobustInverse(u_avg, options.cond_threshold);  // r x n
-  const Matrix s_t = (solved.sigma_inv * u_inv).Transpose();          // n x r
-  const IntervalMatrix v_recomputed = m.IntervalMultiplyDenseTranspose(s_t);
-  solved.timings.recompute = sw.Seconds();
-
-  IsvdResult result =
-      BuildResult(std::move(solved.u), std::move(solved.sigma), v_recomputed,
-                  options.target, solved.timings);
-  result.iterations = gram.iterations;
-  return result;
+  return Isvd4Impl(m, gram, options);
 }
 
 IsvdResult Isvd2(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  return Isvd2(m, rank, ComputeGramEig(m, rank, options), options);
+  return Isvd2Impl(m, ComputeGramEigImpl(m, rank, options), options);
 }
 
 IsvdResult Isvd3(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  return Isvd3(m, rank, ComputeGramEig(m, rank, options), options);
+  return Isvd3Impl(m, ComputeGramEigImpl(m, rank, options), options);
 }
 
 IsvdResult Isvd4(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
-  return Isvd4(m, rank, ComputeGramEig(m, rank, options), options);
+  return Isvd4Impl(m, ComputeGramEigImpl(m, rank, options), options);
 }
 
 IsvdResult RunIsvd(int strategy, const ShardedSparseIntervalMatrix& m,
                    size_t rank, const IsvdOptions& options) {
-  switch (strategy) {
-    case 0:
-      return Isvd0(m, rank, options);
-    case 1:
-      return Isvd1(m, rank, options);
-    case 2:
-      return Isvd2(m, rank, options);
-    case 3:
-      return Isvd3(m, rank, options);
-    case 4:
-      return Isvd4(m, rank, options);
-    default:
-      IVMF_CHECK_MSG(false, "ISVD strategy must be 0..4");
-      return {};
-  }
+  return RunIsvdImpl(strategy, m, rank, options);
 }
 
 }  // namespace ivmf

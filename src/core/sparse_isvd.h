@@ -1,20 +1,22 @@
 // Matrix-free ISVD over sparse interval matrices.
 //
-// Overloads of the full ISVD0–ISVD4 strategy family (core/isvd.h) that take
-// a CSR SparseIntervalMatrix and never materialize the dense endpoint
-// matrices:
+// Overloads of the full ISVD0–ISVD4 strategy family (core/isvd.h) for the
+// two sparse stores — the CSR SparseIntervalMatrix and the block-row
+// ShardedSparseIntervalMatrix (sparse/block_matrix.h) — that never
+// materialize the dense endpoint matrices. Each strategy is written once
+// for both stores and runs through the unchanged Lanczos solvers:
 //
 //  - ISVD0/ISVD1 decompose the midpoint / endpoint matrices through the
 //    Golub–Kahan–Lanczos bidiagonalization SVD (linalg/lanczos_svd.h) over
-//    SparseEndpointMap, O(nnz) per step, any sign.
+//    an endpoint map, O(nnz) per step, any sign.
 //  - ISVD2–ISVD4 eigendecompose the Algorithm-1 interval Gram endpoints.
 //    For entrywise non-negative matrices the endpoints collapse to M_*ᵀM_*
 //    and M^*ᵀM^*, and on the Lanczos route the eigensolver touches them
 //    only through x -> M_eᵀ(M_e x), O(nnz) per step — not even the m x m
 //    Gram is formed. For signed matrices the Algorithm-1 endpoints are
 //    elementwise min/max over four products and have no fixed operator
-//    form, so SparseGramOperator::DenseGramEndpoints accumulates them from
-//    the sparse rows (min(n, m)² memory, never densifying M†) before the
+//    form, so the DenseGramEndpoints statics accumulate them from the
+//    sparse rows (min(n, m)² memory, never densifying M†) before the
 //    eigensolve — exactly matching the dense IntervalMatMul route.
 //
 // The downstream solve/align/recompute phases run on the small n x r /
@@ -30,9 +32,23 @@
 //                        useful for narrow matrices such as user-genre.
 //   EigSolver::kAuto     Lanczos when 4 * rank < gram dimension, else
 //                        Jacobi, mirroring the dense heuristic.
-// GramSide::kAuto picks the smaller Gram dimension, like the dense path.
 // ISVD0/ISVD1 always run the bidiagonalization SVD (it IS the sparse
 // route); eig_solver does not apply to them.
+//
+// The two stores differ in three ways:
+//  - Gram side. The CSR store honours GramSide, and kAuto picks the
+//    smaller Gram dimension like the dense path. The sharded store always
+//    eigendecomposes MᵀM and ignores options.gram_side: it never
+//    materializes a transposed store (transpose actions run as shard
+//    scatter reductions), which an out-of-core store could not afford.
+//  - Preprocess. The CSR store builds the transpose its operators read and
+//    charges it to timings.preprocess; the sharded store has none to build.
+//  - Execution. Every O(nnz) pass on the sharded store runs shard-parallel
+//    and streams mmap'd segment files when the store is disk-backed, which
+//    is the out-of-core decompose path (bench/fig10_outofcore).
+// Sharded results match the CSR route on the same matrix to the 1e-8
+// bound tests/sharded_isvd_test.cc pins (reductions group differently);
+// the signed Gram-endpoint accumulation is bit-identical by construction.
 
 #ifndef IVMF_CORE_SPARSE_ISVD_H_
 #define IVMF_CORE_SPARSE_ISVD_H_
@@ -45,7 +61,7 @@ namespace ivmf {
 
 // ISVD0 (midpoint SVD) without materializing the midpoint matrix: the
 // Golub–Kahan–Lanczos solver applies ((M_* + M^*) / 2) x fused over the
-// shared CSR pattern. The result is always scalar (target c), like the
+// shared sparse pattern. The result is always scalar (target c), like the
 // dense overload.
 IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options = {});
@@ -86,18 +102,6 @@ IsvdResult RunIsvd(int strategy, const SparseIntervalMatrix& m, size_t rank,
                    const IsvdOptions& options = {});
 
 // -- Sharded (block-row) overloads -------------------------------------------
-//
-// The same strategy family over a ShardedSparseIntervalMatrix: identical
-// semantics through the unchanged Lanczos drivers, with every O(nnz) pass
-// running shard-parallel — and streaming mmap'd segment files when the
-// store is disk-backed, which is the out-of-core decompose path
-// (bench/fig10_outofcore). Two differences from the monolithic overloads:
-//  - GramSide is always kMtM: the sharded operators never materialize a
-//    transposed store (transpose actions run as shard scatter reductions),
-//    so options.gram_side is ignored.
-//  - Results match the monolithic route to the kernels' 1e-12 differential
-//    bound (reduction grouping differs), except the signed Gram-endpoint
-//    accumulation, which is bit-identical by construction.
 
 IsvdResult Isvd0(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options = {});
@@ -107,6 +111,8 @@ IsvdResult Isvd1(const ShardedSparseIntervalMatrix& m, size_t rank,
 GramEig ComputeGramEig(const ShardedSparseIntervalMatrix& m, size_t rank,
                        const IsvdOptions& options = {});
 
+// `gram` must come from the sharded ComputeGramEig (an MᵀM eigensystem;
+// a transposed GramEig is a checked precondition violation).
 IsvdResult Isvd2(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const GramEig& gram, const IsvdOptions& options);
 IsvdResult Isvd3(const ShardedSparseIntervalMatrix& m, size_t rank,

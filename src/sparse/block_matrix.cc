@@ -10,6 +10,7 @@
 #include "base/check.h"
 #include "base/parallel.h"
 #include "obs/metrics.h"
+#include "sparse/dense_gram.h"
 
 namespace ivmf {
 
@@ -47,6 +48,12 @@ inline size_t ColAt(const spk::PackedCsrView& view, size_t k) {
   return view.col16 != nullptr ? static_cast<size_t>(view.col16[k])
                                : static_cast<size_t>(view.col32[k]);
 }
+
+// ColAt as an indexable column array, for the dense_gram accumulators.
+struct PackedCols {
+  const spk::PackedCsrView& view;
+  size_t operator[](size_t k) const { return ColAt(view, k); }
+};
 
 void EnsureDir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -598,38 +605,6 @@ void ShardedSparseIntervalMatrix::MultiplyMid(const std::vector<double>& x,
   });
 }
 
-void ShardedSparseIntervalMatrix::MultiplyBoth(const std::vector<double>& x,
-                                               std::vector<double>& y_lo,
-                                               std::vector<double>& y_hi)
-    const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  static ShardedKernelCounters counters("multiply_both");
-  counters.Count(shards_.size(), rows_, nnz_);
-  y_lo.resize(rows_);
-  y_hi.resize(rows_);
-  ParallelFor(0, shards_.size(), [&](size_t s) {
-    const SegRef seg = Seg(s);
-    if (seg.sell != nullptr) {
-      seg.sell->MatVecBoth(x.data(), y_lo.data() + seg.offset,
-                           y_hi.data() + seg.offset);
-    } else if (csr_variant_ == spk::Backend::kAvx2) {
-      spk::MatVecBothPackedAvx2(seg.view, seg.lo, seg.hi, x.data(),
-                                y_lo.data() + seg.offset,
-                                y_hi.data() + seg.offset, seg.row_begin,
-                                seg.row_end);
-    } else {
-      spk::MatVecBothPackedScalar(seg.view, seg.lo, seg.hi, x.data(),
-                                  y_lo.data() + seg.offset,
-                                  y_hi.data() + seg.offset, seg.row_begin,
-                                  seg.row_end);
-    }
-    MaybeDropResidency(seg);
-  });
-}
-
 Matrix ShardedSparseIntervalMatrix::MultiplyDense(Endpoint e,
                                                   const Matrix& b) const {
   IVMF_CHECK_MSG(b.rows() == cols_, "sparse x dense dimension mismatch");
@@ -799,30 +774,6 @@ void ShardedSparseIntervalMatrix::GramMultiply(Endpoint e,
       &y, nullptr);
 }
 
-void ShardedSparseIntervalMatrix::GramMultiplyBoth(
-    const std::vector<double>& x, std::vector<double>& y_lo,
-    std::vector<double>& y_hi) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  static ShardedKernelCounters counters("gram_fused_both");
-  counters.Count(shards_.size(), rows_, nnz_);
-  const bool avx2 = csr_variant_ == spk::Backend::kAvx2;
-  ReduceOverShards(
-      cols_,
-      [&](const SegRef& seg, double* p0, double* p1) {
-        if (avx2) {
-          spk::GramFusedBothPackedAvx2(seg.view, seg.lo, seg.hi, x.data(), p0,
-                                       p1, seg.row_begin, seg.row_end);
-        } else {
-          spk::GramFusedBothPackedScalar(seg.view, seg.lo, seg.hi, x.data(),
-                                         p0, p1, seg.row_begin, seg.row_end);
-        }
-      },
-      &y_lo, &y_hi);
-}
-
 IntervalMatrix ShardedSparseIntervalMatrix::IntervalMultiplyDenseTranspose(
     const Matrix& b) const {
   IVMF_CHECK_MSG(b.rows() == rows_, "sparse x dense dimension mismatch");
@@ -856,80 +807,41 @@ IntervalMatrix ShardedSparseIntervalMatrix::IntervalMultiplyDenseTranspose(
 }
 
 // -- Dense Gram statics (bit-identical to the monolithic accumulation) -------
+//
+// Shards partition rows in ascending global order and each shard walks its
+// rows ascending, so feeding them through the shared dense_gram
+// accumulators reproduces the monolithic SparseGramOperator statics
+// exactly.
 
 Matrix ShardedSparseIntervalMatrix::DenseGram(
     const ShardedSparseIntervalMatrix& m, Endpoint e) {
-  Matrix gram(m.cols_, m.cols_);
-  // Shards partition rows in ascending global order and each shard walks
-  // its rows ascending, so the accumulation order is exactly the monolithic
-  // SparseGramOperator::DenseGram loop — results are bit-identical.
+  dense_gram::Single gram(m.cols_);
   for (size_t s = 0; s < m.shards_.size(); ++s) {
     const SegRef seg = m.Seg(s);
+    const PackedCols cols{seg.view};
     const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
     const size_t* rp = seg.view.row_ptr;
     for (size_t i = seg.row_begin; i < seg.row_end; ++i) {
-      for (size_t a = rp[i]; a < rp[i + 1]; ++a) {
-        const size_t ja = ColAt(seg.view, a);
-        const double va = v[a];
-        for (size_t b = a; b < rp[i + 1]; ++b) {
-          gram(ja, ColAt(seg.view, b)) += va * v[b];
-        }
-      }
+      gram.AddRow(cols, v, rp[i], rp[i + 1]);
     }
     m.MaybeDropResidency(seg);
   }
-  for (size_t i = 0; i < gram.rows(); ++i) {
-    for (size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
-  }
-  return gram;
+  return gram.Finish();
 }
 
 IntervalMatrix ShardedSparseIntervalMatrix::DenseGramEndpoints(
     const ShardedSparseIntervalMatrix& m) {
-  const size_t dim = m.cols_;
-  Matrix g_ll(dim, dim);
-  Matrix g_hh(dim, dim);
-  Matrix g_lh(dim, dim);
-  // Same shard-sequential ascending-row walk as DenseGram above: identical
-  // addition order to SparseGramOperator::DenseGramEndpoints.
+  dense_gram::Endpoints gram(m.cols_);
   for (size_t s = 0; s < m.shards_.size(); ++s) {
     const SegRef seg = m.Seg(s);
+    const PackedCols cols{seg.view};
     const size_t* rp = seg.view.row_ptr;
     for (size_t i = seg.row_begin; i < seg.row_end; ++i) {
-      for (size_t a = rp[i]; a < rp[i + 1]; ++a) {
-        const size_t ja = ColAt(seg.view, a);
-        for (size_t b = a; b < rp[i + 1]; ++b) {
-          const size_t jb = ColAt(seg.view, b);
-          g_ll(ja, jb) += seg.lo[a] * seg.lo[b];
-          g_hh(ja, jb) += seg.hi[a] * seg.hi[b];
-        }
-        for (size_t b = rp[i]; b < rp[i + 1]; ++b) {
-          g_lh(ja, ColAt(seg.view, b)) += seg.lo[a] * seg.hi[b];
-        }
-      }
+      gram.AddRow(cols, seg.lo, seg.hi, rp[i], rp[i + 1]);
     }
     m.MaybeDropResidency(seg);
   }
-  for (size_t i = 0; i < dim; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      g_ll(i, j) = g_ll(j, i);
-      g_hh(i, j) = g_hh(j, i);
-    }
-  }
-
-  Matrix gram_lo(dim, dim);
-  Matrix gram_hi(dim, dim);
-  for (size_t i = 0; i < dim; ++i) {
-    for (size_t j = 0; j < dim; ++j) {
-      const double v1 = g_ll(i, j);
-      const double v2 = g_lh(i, j);  // M_*ᵀ M^*
-      const double v3 = g_lh(j, i);  // M^*ᵀ M_*
-      const double v4 = g_hh(i, j);
-      gram_lo(i, j) = std::min(std::min(v1, v2), std::min(v3, v4));
-      gram_hi(i, j) = std::max(std::max(v1, v2), std::max(v3, v4));
-    }
-  }
-  return IntervalMatrix(std::move(gram_lo), std::move(gram_hi));
+  return gram.Finish();
 }
 
 }  // namespace ivmf

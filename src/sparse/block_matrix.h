@@ -7,17 +7,17 @@
 // here with identical semantics, executed shard-parallel on the shared
 // ThreadPool:
 //
-//  - Forward kernels (Multiply / MultiplyMid / MultiplyBoth / MultiplyDense
-//    / IntervalMultiplyDense) write disjoint row ranges, one task per
+//  - Forward kernels (Multiply / MultiplyMid / MultiplyDense /
+//    IntervalMultiplyDense) write disjoint row ranges, one task per
 //    shard; each output entry is computed by the same per-row loop as the
 //    monolithic kernel, so forward results are bit-identical to the
 //    monolithic matrix under the same resolved backend.
-//  - Reduction kernels (MultiplyTranspose / GramMultiply / GramMultiplyBoth
-//    / IntervalMultiplyDenseTranspose) give each shard group a private
-//    cols-sized accumulator — the Gram apply is literally the block sum
-//    A†ᵀA† = Σ_s M_sᵀ M_s — and reduce the partials column-parallel in
-//    fixed group order, the same deterministic scheme the monolithic
-//    kernels use (equal to the serial result up to roundoff, bit-stable
+//  - Reduction kernels (MultiplyTranspose / MultiplyTransposeMid /
+//    GramMultiply / IntervalMultiplyDenseTranspose) give each shard group
+//    a private cols-sized accumulator — the Gram apply is literally the
+//    block sum A†ᵀA† = Σ_s M_sᵀ M_s — and reduce the partials
+//    column-parallel in fixed group order, the same deterministic scheme
+//    the monolithic kernels use (equal to the serial result up to roundoff, bit-stable
 //    across calls on a fixed machine).
 //
 // Backing (BackingPolicy): shards own heap buffers (kMemory), or mmap
@@ -145,10 +145,6 @@ class ShardedSparseIntervalMatrix {
   // y = ((A_* + A^*) / 2) x.
   void MultiplyMid(const std::vector<double>& x, std::vector<double>& y) const;
 
-  // y_lo = A_* x, y_hi = A^* x in one pattern pass per shard.
-  void MultiplyBoth(const std::vector<double>& x, std::vector<double>& y_lo,
-                    std::vector<double>& y_hi) const;
-
   // y = A_eᵀ x via per-group scatter partials + fixed-order reduction.
   void MultiplyTranspose(Endpoint e, const std::vector<double>& x,
                          std::vector<double>& y) const;
@@ -164,11 +160,6 @@ class ShardedSparseIntervalMatrix {
   void GramMultiply(Endpoint e, const std::vector<double>& x,
                     std::vector<double>& y) const;
 
-  // Both endpoint Gram actions fused over one pattern pass per shard.
-  void GramMultiplyBoth(const std::vector<double>& x,
-                        std::vector<double>& y_lo,
-                        std::vector<double>& y_hi) const;
-
   // C = A_e B for dense B (cols() x k), row-parallel over shards.
   Matrix MultiplyDense(Endpoint e, const Matrix& b) const;
 
@@ -181,9 +172,9 @@ class ShardedSparseIntervalMatrix {
   IntervalMatrix IntervalMultiplyDenseTranspose(const Matrix& b) const;
 
   // The dense Gram / Algorithm-1 interval Gram endpoints, accumulated
-  // shard-sequentially in ascending row order — the identical addition
-  // order as the monolithic SparseGramOperator statics, so results are
-  // bit-identical. (The signed route stays dense by design; see ROADMAP
+  // shard-sequentially in ascending row order through the same
+  // sparse/dense_gram.h accumulators as the monolithic SparseGramOperator
+  // statics, so results are bit-identical. (The signed route stays dense by design; see ROADMAP
   // "operator-form signed Gram".)
   static Matrix DenseGram(const ShardedSparseIntervalMatrix& m, Endpoint e);
   static IntervalMatrix DenseGramEndpoints(

@@ -109,17 +109,4 @@ void SellPack::MatVecMid(const double* x, double* y) const {
   });
 }
 
-void SellPack::MatVecBoth(const double* x, double* y_lo, double* y_hi) const {
-  const spk::SellView view = View();
-  ForChunkBlocks([&](size_t begin, size_t end) {
-    if (use_avx2_) {
-      spk::SellMatVecBothAvx2(view, lo_.data(), hi_.data(), x, y_lo, y_hi,
-                              begin, end);
-    } else {
-      spk::SellMatVecBothScalar(view, lo_.data(), hi_.data(), x, y_lo, y_hi,
-                                begin, end);
-    }
-  });
-}
-
 }  // namespace ivmf

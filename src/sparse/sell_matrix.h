@@ -20,9 +20,9 @@
 //
 // SellPack is an immutable sidecar built from CSR arrays (see
 // SparseIntervalMatrix::set_kernel; the CSR arrays stay resident for the
-// kernels SELL does not cover). Supported kernels: MatVec, MatVecMid,
-// MatVecBoth. Padded lanes multiply value 0 by x[0], so inputs must be
-// finite (see the contract in sparse_kernels.h).
+// kernels SELL does not cover). Supported kernels: MatVec and MatVecMid.
+// Padded lanes multiply value 0 by x[0], so inputs must be finite (see the
+// contract in sparse_kernels.h).
 
 #ifndef IVMF_SPARSE_SELL_MATRIX_H_
 #define IVMF_SPARSE_SELL_MATRIX_H_
@@ -61,9 +61,6 @@ class SellPack {
 
   // y = ((A_* + A^*) / 2) x fused over the shared padded pattern.
   void MatVecMid(const double* x, double* y) const;
-
-  // y_lo = A_* x and y_hi = A^* x in one pattern pass.
-  void MatVecBoth(const double* x, double* y_lo, double* y_hi) const;
 
  private:
   spk::SellView View() const {

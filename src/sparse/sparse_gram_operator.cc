@@ -1,83 +1,29 @@
 #include "sparse/sparse_gram_operator.h"
 
-#include <algorithm>
-#include <utility>
+#include "sparse/dense_gram.h"
 
 namespace ivmf {
 
 Matrix SparseGramOperator::DenseGram(const SparseIntervalMatrix& m,
                                      SparseIntervalMatrix::Endpoint endpoint) {
-  const std::vector<double>& v = m.values(endpoint);
   const std::vector<size_t>& row_ptr = m.row_ptr();
-  const std::vector<size_t>& col_idx = m.col_idx();
-  Matrix gram(m.cols(), m.cols());
-  // C += rowᵀ row for every sparse row: each row contributes the outer
-  // product of its nonzeros. Only the upper triangle is accumulated, then
-  // mirrored.
+  const double* v = m.values(endpoint).data();
+  dense_gram::Single gram(m.cols());
   for (size_t i = 0; i < m.rows(); ++i) {
-    for (size_t a = row_ptr[i]; a < row_ptr[i + 1]; ++a) {
-      const size_t ja = col_idx[a];
-      const double va = v[a];
-      for (size_t b = a; b < row_ptr[i + 1]; ++b) {
-        gram(ja, col_idx[b]) += va * v[b];
-      }
-    }
+    gram.AddRow(m.col_idx().data(), v, row_ptr[i], row_ptr[i + 1]);
   }
-  for (size_t i = 0; i < gram.rows(); ++i) {
-    for (size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
-  }
-  return gram;
+  return gram.Finish();
 }
 
 IntervalMatrix SparseGramOperator::DenseGramEndpoints(
     const SparseIntervalMatrix& m) {
-  const std::vector<double>& lo = m.lower_values();
-  const std::vector<double>& hi = m.upper_values();
   const std::vector<size_t>& row_ptr = m.row_ptr();
-  const std::vector<size_t>& col_idx = m.col_idx();
-  const size_t dim = m.cols();
-
-  // Accumulate the four products; G_lh(i, j) = Σ_k M_*(k, i) M^*(k, j) is
-  // the only asymmetric one (G_hl is its transpose), so three accumulators
-  // suffice. Summation runs over rows k in ascending order, matching the
-  // dense matmul term order, so the result agrees with IntervalMatMul to
-  // roundoff-free identity on shared entries.
-  Matrix g_ll(dim, dim);
-  Matrix g_hh(dim, dim);
-  Matrix g_lh(dim, dim);
+  dense_gram::Endpoints gram(m.cols());
   for (size_t i = 0; i < m.rows(); ++i) {
-    for (size_t a = row_ptr[i]; a < row_ptr[i + 1]; ++a) {
-      const size_t ja = col_idx[a];
-      for (size_t b = a; b < row_ptr[i + 1]; ++b) {
-        const size_t jb = col_idx[b];
-        g_ll(ja, jb) += lo[a] * lo[b];
-        g_hh(ja, jb) += hi[a] * hi[b];
-      }
-      for (size_t b = row_ptr[i]; b < row_ptr[i + 1]; ++b) {
-        g_lh(ja, col_idx[b]) += lo[a] * hi[b];
-      }
-    }
+    gram.AddRow(m.col_idx().data(), m.lower_values().data(),
+                m.upper_values().data(), row_ptr[i], row_ptr[i + 1]);
   }
-  for (size_t i = 0; i < dim; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      g_ll(i, j) = g_ll(j, i);
-      g_hh(i, j) = g_hh(j, i);
-    }
-  }
-
-  Matrix gram_lo(dim, dim);
-  Matrix gram_hi(dim, dim);
-  for (size_t i = 0; i < dim; ++i) {
-    for (size_t j = 0; j < dim; ++j) {
-      const double v1 = g_ll(i, j);
-      const double v2 = g_lh(i, j);   // M_*ᵀ M^*
-      const double v3 = g_lh(j, i);   // M^*ᵀ M_*
-      const double v4 = g_hh(i, j);
-      gram_lo(i, j) = std::min(std::min(v1, v2), std::min(v3, v4));
-      gram_hi(i, j) = std::max(std::max(v1, v2), std::max(v3, v4));
-    }
-  }
-  return IntervalMatrix(std::move(gram_lo), std::move(gram_hi));
+  return gram.Finish();
 }
 
 }  // namespace ivmf

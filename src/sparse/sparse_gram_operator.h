@@ -71,25 +71,6 @@ class SparseGramOperator final : public LinearOperator {
     mt_.Multiply(endpoint_, scratch_, y);    // y = M_eᵀ scratch  (m)
   }
 
-  // Both endpoint Gram actions on one vector, fused over the shared
-  // pattern: y_lo = M_*ᵀ(M_* x) and y_hi = M^*ᵀ(M^* x) in two pattern
-  // passes instead of four (MultiplyBoth shares the forward gather,
-  // MultiplyPair shares the transposed pattern walk). This is the building
-  // block for refresh paths that track both endpoint spectra of the same
-  // probe — algebraically identical to Apply with each endpoint operator.
-  // x, y_lo, y_hi must be three distinct vectors (see the kernel aliasing
-  // contract in sparse_kernels.h).
-  void ApplyBoth(const std::vector<double>& x, std::vector<double>& y_lo,
-                 std::vector<double>& y_hi) const {
-    // Same fused-on-AVX2 policy as Apply: one pattern pass instead of two.
-    if (spk::Resolve(m_.ResolvedKernel()) == spk::Backend::kAvx2) {
-      m_.GramMultiplyBoth(x, y_lo, y_hi);
-      return;
-    }
-    m_.MultiplyBoth(x, scratch_, scratch_hi_);
-    mt_.MultiplyPair(scratch_, scratch_hi_, y_lo, y_hi);
-  }
-
   // The dense endpoint Gram matrix M_eᵀ M_e, accumulated row-by-row from the
   // sparse pattern in O(sum of row_nnz²) — the bridge to the exact Jacobi
   // solver for small Gram dimensions (non-negative matrices only; for signed
@@ -109,7 +90,6 @@ class SparseGramOperator final : public LinearOperator {
   const SparseIntervalMatrix& mt_;
   SparseIntervalMatrix::Endpoint endpoint_;
   mutable std::vector<double> scratch_;
-  mutable std::vector<double> scratch_hi_;  // upper chain of ApplyBoth
 };
 
 // An endpoint (or the midpoint) matrix of a sparse interval matrix as a

@@ -78,6 +78,47 @@ void ForRowBlocks(size_t rows, size_t min_rows, Fn&& fn) {
       /*min_items_per_thread=*/min_blocks > 0 ? min_blocks : 1);
 }
 
+// Runs an accumulating row scatter fn(out, row_begin, row_end) over rows
+// [0, rows) into y (resized to cols). Each worker scatters its block of rows
+// into a private accumulator, then the accumulators reduce column-parallel
+// in fixed block order. The partitioning depends only on the shape and
+// hardware concurrency, so repeated calls are bit-identical.
+template <typename ScatterFn>
+void ScatterRows(size_t rows, size_t cols, std::vector<double>& y,
+                 ScatterFn&& scatter) {
+  constexpr size_t kMinRowsPerThread = 2048;
+  size_t threads = SuggestedThreads(rows);
+  const size_t cap = (rows + kMinRowsPerThread - 1) / kMinRowsPerThread;
+  if (threads > cap) threads = cap;
+  if (threads <= 1) {
+    y.assign(cols, 0.0);
+    scatter(y.data(), 0, rows);
+    return;
+  }
+
+  std::vector<std::vector<double>> partials(threads);
+  const size_t chunk = (rows + threads - 1) / threads;
+  ParallelFor(
+      0, threads,
+      [&](size_t t) {
+        std::vector<double>& part = partials[t];
+        part.assign(cols, 0.0);
+        const size_t row_begin = t * chunk;
+        const size_t row_end = std::min(rows, row_begin + chunk);
+        scatter(part.data(), row_begin, row_end);
+      },
+      /*max_threads=*/threads);
+  y.resize(cols);
+  ParallelFor(
+      0, cols,
+      [&](size_t j) {
+        double sum = 0.0;
+        for (size_t t = 0; t < partials.size(); ++t) sum += partials[t][j];
+        y[j] = sum;
+      },
+      /*max_threads=*/0, /*min_items_per_thread=*/4096);
+}
+
 }  // namespace
 
 SparseIntervalMatrix SparseIntervalMatrix::FromTriplets(
@@ -362,69 +403,6 @@ void SparseIntervalMatrix::MultiplyMid(const std::vector<double>& x,
   });
 }
 
-void SparseIntervalMatrix::MultiplyBoth(const std::vector<double>& x,
-                                        std::vector<double>& y_lo,
-                                        std::vector<double>& y_hi) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  const spk::Backend backend = spk::Resolve(ResolvedKernel());
-  static VariantCounters counters("multiply_both");
-  counters.For(backend).Count(rows_, nnz());
-  y_lo.resize(rows_);
-  y_hi.resize(rows_);
-  if (backend == spk::Backend::kSell) {
-    EnsureSell().MatVecBoth(x.data(), y_lo.data(), y_hi.data());
-    return;
-  }
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
-    if (avx2) {
-      spk::MatVecBothPackedAvx2(packed, lo_.data(), hi_.data(), x.data(),
-                                y_lo.data(), y_hi.data(), begin, end);
-    } else {
-      spk::MatVecBothScalar(view, lo_.data(), hi_.data(), x.data(),
-                            y_lo.data(), y_hi.data(), begin, end);
-    }
-  });
-}
-
-void SparseIntervalMatrix::MultiplyPair(const std::vector<double>& x_lo,
-                                        const std::vector<double>& x_hi,
-                                        std::vector<double>& y_lo,
-                                        std::vector<double>& y_hi) const {
-  IVMF_CHECK(x_lo.size() == cols_ && x_hi.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x_lo && &y_lo != &x_hi && &y_hi != &x_lo &&
-                     &y_hi != &x_hi,
-                 "kernel output must not alias an input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  // SELL does not cover the two-input pair; use the dispatched CSR variant.
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-  static VariantCounters counters("multiply_pair");
-  counters.For(backend).Count(rows_, nnz());
-  y_lo.resize(rows_);
-  y_hi.resize(rows_);
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
-    if (avx2) {
-      spk::MatVecPairPackedAvx2(packed, lo_.data(), hi_.data(), x_lo.data(),
-                                x_hi.data(), y_lo.data(), y_hi.data(), begin,
-                                end);
-    } else {
-      spk::MatVecPairScalar(view, lo_.data(), hi_.data(), x_lo.data(),
-                            x_hi.data(), y_lo.data(), y_hi.data(), begin,
-                            end);
-    }
-  });
-}
-
 void SparseIntervalMatrix::MultiplyTranspose(Endpoint e,
                                              const std::vector<double>& x,
                                              std::vector<double>& y) const {
@@ -438,49 +416,13 @@ void SparseIntervalMatrix::MultiplyTranspose(Endpoint e,
   counters.For(backend).Count(rows_, nnz());
   const std::vector<double>& v = values(e);
   const spk::CsrView view = View();
-  const auto scatter = [&](double* out, size_t begin, size_t end) {
+  ScatterRows(rows_, cols_, y, [&](double* out, size_t begin, size_t end) {
     if (backend == spk::Backend::kAvx2) {
       spk::MatVecTAvx2(view, v.data(), x.data(), out, begin, end);
     } else {
       spk::MatVecTScalar(view, v.data(), x.data(), out, begin, end);
     }
-  };
-
-  // Each worker scatters its block of rows into a private accumulator, then
-  // the accumulators reduce column-parallel in fixed block order. The
-  // partitioning depends only on the shape and hardware concurrency, so
-  // repeated calls are bit-identical.
-  constexpr size_t kMinRowsPerThread = 2048;
-  size_t threads = SuggestedThreads(rows_);
-  const size_t cap = (rows_ + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > cap) threads = cap;
-  if (threads <= 1) {
-    y.assign(cols_, 0.0);
-    scatter(y.data(), 0, rows_);
-    return;
-  }
-
-  std::vector<std::vector<double>> partials(threads);
-  const size_t chunk = (rows_ + threads - 1) / threads;
-  ParallelFor(
-      0, threads,
-      [&](size_t t) {
-        std::vector<double>& part = partials[t];
-        part.assign(cols_, 0.0);
-        const size_t row_begin = t * chunk;
-        const size_t row_end = std::min(rows_, row_begin + chunk);
-        scatter(part.data(), row_begin, row_end);
-      },
-      /*max_threads=*/threads);
-  y.resize(cols_);
-  ParallelFor(
-      0, cols_,
-      [&](size_t j) {
-        double sum = 0.0;
-        for (size_t t = 0; t < partials.size(); ++t) sum += partials[t][j];
-        y[j] = sum;
-      },
-      /*max_threads=*/0, /*min_items_per_thread=*/4096);
+  });
 }
 
 void SparseIntervalMatrix::GramMultiply(Endpoint e,
@@ -500,114 +442,13 @@ void SparseIntervalMatrix::GramMultiply(Endpoint e,
   const bool avx2 = backend == spk::Backend::kAvx2;
   const spk::PackedCsrView packed =
       avx2 ? PackedView() : spk::PackedCsrView{};
-  const auto fused = [&](double* out, size_t begin, size_t end) {
+  ScatterRows(rows_, cols_, y, [&](double* out, size_t begin, size_t end) {
     if (avx2) {
       spk::GramFusedPackedAvx2(packed, v.data(), x.data(), out, begin, end);
     } else {
       spk::GramFusedScalar(view, v.data(), x.data(), out, begin, end);
     }
-  };
-
-  // Same deterministic partition + reduction scheme as MultiplyTranspose:
-  // the scatter accumulates, so workers need private output accumulators.
-  constexpr size_t kMinRowsPerThread = 2048;
-  size_t threads = SuggestedThreads(rows_);
-  const size_t cap = (rows_ + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > cap) threads = cap;
-  if (threads <= 1) {
-    y.assign(cols_, 0.0);
-    fused(y.data(), 0, rows_);
-    return;
-  }
-
-  std::vector<std::vector<double>> partials(threads);
-  const size_t chunk = (rows_ + threads - 1) / threads;
-  ParallelFor(
-      0, threads,
-      [&](size_t t) {
-        std::vector<double>& part = partials[t];
-        part.assign(cols_, 0.0);
-        const size_t row_begin = t * chunk;
-        const size_t row_end = std::min(rows_, row_begin + chunk);
-        fused(part.data(), row_begin, row_end);
-      },
-      /*max_threads=*/threads);
-  y.resize(cols_);
-  ParallelFor(
-      0, cols_,
-      [&](size_t j) {
-        double sum = 0.0;
-        for (size_t t = 0; t < partials.size(); ++t) sum += partials[t][j];
-        y[j] = sum;
-      },
-      /*max_threads=*/0, /*min_items_per_thread=*/4096);
-}
-
-void SparseIntervalMatrix::GramMultiplyBoth(const std::vector<double>& x,
-                                            std::vector<double>& y_lo,
-                                            std::vector<double>& y_hi) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-  static VariantCounters counters("gram_fused_both");
-  counters.For(backend).Count(rows_, nnz());
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  const auto fused = [&](double* out_lo, double* out_hi, size_t begin,
-                         size_t end) {
-    if (avx2) {
-      spk::GramFusedBothPackedAvx2(packed, lo_.data(), hi_.data(), x.data(),
-                                   out_lo, out_hi, begin, end);
-    } else {
-      spk::GramFusedBothScalar(view, lo_.data(), hi_.data(), x.data(), out_lo,
-                               out_hi, begin, end);
-    }
-  };
-
-  constexpr size_t kMinRowsPerThread = 2048;
-  size_t threads = SuggestedThreads(rows_);
-  const size_t cap = (rows_ + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > cap) threads = cap;
-  if (threads <= 1) {
-    y_lo.assign(cols_, 0.0);
-    y_hi.assign(cols_, 0.0);
-    fused(y_lo.data(), y_hi.data(), 0, rows_);
-    return;
-  }
-
-  std::vector<std::vector<double>> partials_lo(threads);
-  std::vector<std::vector<double>> partials_hi(threads);
-  const size_t chunk = (rows_ + threads - 1) / threads;
-  ParallelFor(
-      0, threads,
-      [&](size_t t) {
-        partials_lo[t].assign(cols_, 0.0);
-        partials_hi[t].assign(cols_, 0.0);
-        const size_t row_begin = t * chunk;
-        const size_t row_end = std::min(rows_, row_begin + chunk);
-        fused(partials_lo[t].data(), partials_hi[t].data(), row_begin,
-              row_end);
-      },
-      /*max_threads=*/threads);
-  y_lo.resize(cols_);
-  y_hi.resize(cols_);
-  ParallelFor(
-      0, cols_,
-      [&](size_t j) {
-        double sum_lo = 0.0;
-        double sum_hi = 0.0;
-        for (size_t t = 0; t < partials_lo.size(); ++t) {
-          sum_lo += partials_lo[t][j];
-          sum_hi += partials_hi[t][j];
-        }
-        y_lo[j] = sum_lo;
-        y_hi[j] = sum_hi;
-      },
-      /*max_threads=*/0, /*min_items_per_thread=*/4096);
+  });
 }
 
 Matrix SparseIntervalMatrix::MultiplyDense(Endpoint e, const Matrix& b) const {

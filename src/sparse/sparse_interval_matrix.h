@@ -119,7 +119,7 @@ class SparseIntervalMatrix {
   // sparse_kernels.h: the scalar reference loops, AVX2 register-blocked CSR
   // rows (runtime cpuid, portable fallback), or a SELL-C-4 padded layout
   // built lazily as an immutable sidecar the first time a SELL kernel runs
-  // (kernels the SELL layout does not cover — transpose, dense, pair — use
+  // (kernels the SELL layout does not cover — transpose, dense, Gram — use
   // the dispatched CSR variant). The default kAuto defers to the
   // IVMF_SPARSE_KERNEL environment variable (scalar|avx2|sell|auto), then
   // to cpuid, so call sites never change: Lanczos eig/SVD, StreamingIsvd,
@@ -144,14 +144,14 @@ class SparseIntervalMatrix {
 
   // -- Kernels ---------------------------------------------------------------
   // All kernels are deterministic for a fixed machine and backend.
-  // Row-partitioned kernels (Multiply, MultiplyDense, MultiplyMid,
-  // MultiplyBoth, MultiplyPair) compute every output entry from exactly the
+  // Row-partitioned kernels (Multiply, MultiplyMid, MultiplyDense,
+  // IntervalMultiplyDense) compute every output entry from exactly the
   // serial loop's terms — vectorized variants reassociate within a row by a
   // fixed lane blocking, so they agree with the scalar reference to
-  // roundoff and are bit-stable across calls. MultiplyTranspose reduces
-  // per-thread partial accumulators, so its summation order differs from the
-  // serial scatter by a fixed blocking (bit-stable across calls, equal to
-  // the serial result up to roundoff).
+  // roundoff and are bit-stable across calls. MultiplyTranspose and
+  // GramMultiply reduce per-thread partial accumulators, so their summation
+  // order differs from the serial scatter by a fixed blocking (bit-stable
+  // across calls, equal to the serial result up to roundoff).
   //
   // Aliasing contract (checked): output vectors may not alias input vectors
   // or each other — the kernels stream inputs while writing outputs in
@@ -162,21 +162,6 @@ class SparseIntervalMatrix {
   // y = A_e x (y resized to rows()). Parallelized over rows.
   void Multiply(Endpoint e, const std::vector<double>& x,
                 std::vector<double>& y) const;
-
-  // y_lo = A_* x and y_hi = A^* x fused over the shared pattern in one
-  // pass (one gather feeds both endpoint accumulators); y_lo/y_hi resized
-  // to rows(). The fused endpoint path under SparseGramOperator::ApplyBoth
-  // and IntervalMultiplyDense.
-  void MultiplyBoth(const std::vector<double>& x, std::vector<double>& y_lo,
-                    std::vector<double>& y_hi) const;
-
-  // y_lo = A_* x_lo and y_hi = A^* x_hi in one pattern pass — the second
-  // Gram stage of ApplyBoth, where each endpoint chain carries its own
-  // vector. Outputs resized to rows().
-  void MultiplyPair(const std::vector<double>& x_lo,
-                    const std::vector<double>& x_hi,
-                    std::vector<double>& y_lo,
-                    std::vector<double>& y_hi) const;
 
   // y = ((A_* + A^*) / 2) x — the midpoint-matrix action fused over the
   // shared pattern (y resized to rows()). Parallelized over rows. Backs the
@@ -211,14 +196,6 @@ class SparseIntervalMatrix {
   // backend is resolved.
   void GramMultiply(Endpoint e, const std::vector<double>& x,
                     std::vector<double>& y) const;
-
-  // y_lo = A_*ᵀ(A_* x) and y_hi = A^*ᵀ(A^* x) fused over the shared
-  // pattern in one pass — the one-pass form of MultiplyBoth + MultiplyPair.
-  // Outputs resized to cols(). Backs SparseGramOperator::ApplyBoth on the
-  // AVX2 backend.
-  void GramMultiplyBoth(const std::vector<double>& x,
-                        std::vector<double>& y_lo,
-                        std::vector<double>& y_hi) const;
 
   // Euclidean norms of the rows / columns of the endpoint matrix A_e.
   std::vector<double> RowNorms(Endpoint e) const;

@@ -129,38 +129,6 @@ void MatVecMidScalar(const CsrView& a, const double* lo, const double* hi,
   }
 }
 
-void MatVecBothScalar(const CsrView& a, const double* lo, const double* hi,
-                      const double* x, double* y_lo, double* y_hi,
-                      size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double xk = x[a.col_idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-void MatVecPairScalar(const CsrView& a, const double* lo, const double* hi,
-                      const double* x_lo, const double* x_hi, double* y_lo,
-                      double* y_hi, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const size_t j = a.col_idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
 void MatVecTScalar(const CsrView& a, const double* v, const double* x,
                    double* y, size_t row_begin, size_t row_end) {
   for (size_t i = row_begin; i < row_end; ++i) {
@@ -222,27 +190,6 @@ void GramFusedScalar(const CsrView& a, const double* v, const double* x,
   }
 }
 
-void GramFusedBothScalar(const CsrView& a, const double* lo, const double* hi,
-                         const double* x, double* y_lo, double* y_hi,
-                         size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t begin = a.row_ptr[i];
-    const size_t end = a.row_ptr[i + 1];
-    double s_lo = 0.0;
-    double s_hi = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      const double xk = x[a.col_idx[k]];
-      s_lo += lo[k] * xk;
-      s_hi += hi[k] * xk;
-    }
-    if (s_lo == 0.0 && s_hi == 0.0) continue;
-    for (size_t k = begin; k < end; ++k) {
-      y_lo[a.col_idx[k]] += s_lo * lo[k];
-      y_hi[a.col_idx[k]] += s_hi * hi[k];
-    }
-  }
-}
-
 // -- SELL reference (blocked-scalar) kernels ---------------------------------
 //
 // The portable fallback keeps the SELL blocking: four lane accumulators per
@@ -282,30 +229,6 @@ void SellMatVecMidScalar(const SellView& s, const double* lo,
   }
 }
 
-void SellMatVecBothScalar(const SellView& s, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t chunk_begin,
-                          size_t chunk_end) {
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    double acc_lo[kSellC] = {0.0, 0.0, 0.0, 0.0};
-    double acc_hi[kSellC] = {0.0, 0.0, 0.0, 0.0};
-    for (size_t k = s.chunk_ptr[c]; k < s.chunk_ptr[c + 1]; k += kSellC) {
-      for (size_t l = 0; l < kSellC; ++l) {
-        const double xk = x[s.col[k + l]];
-        acc_lo[l] += lo[k + l] * xk;
-        acc_hi[l] += hi[k + l] * xk;
-      }
-    }
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) {
-        y_lo[perm[l]] = acc_lo[l];
-        y_hi[perm[l]] = acc_hi[l];
-      }
-    }
-  }
-}
-
 // -- Packed-index scalar kernels ---------------------------------------------
 //
 // One templated body per kernel, instantiated for the u16 and u32 sidecars.
@@ -340,42 +263,6 @@ void PackedMatVecMid(const PackedCsrView& a, const IdxT* idx, const double* lo,
       sum += 0.5 * (lo[k] + hi[k]) * x[idx[k]];
     }
     y[i] = sum;
-  }
-}
-
-template <typename IdxT>
-void PackedMatVecBoth(const PackedCsrView& a, const IdxT* idx,
-                      const double* lo, const double* hi, const double* x,
-                      double* y_lo, double* y_hi, size_t row_begin,
-                      size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double xk = x[idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-template <typename IdxT>
-void PackedMatVecPair(const PackedCsrView& a, const IdxT* idx,
-                      const double* lo, const double* hi, const double* x_lo,
-                      const double* x_hi, double* y_lo, double* y_hi,
-                      size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const size_t j = idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
   }
 }
 
@@ -473,29 +360,6 @@ void PackedGramFused(const PackedCsrView& a, const IdxT* idx, const double* v,
   }
 }
 
-template <typename IdxT>
-void PackedGramFusedBoth(const PackedCsrView& a, const IdxT* idx,
-                         const double* lo, const double* hi, const double* x,
-                         double* y_lo, double* y_hi, size_t row_begin,
-                         size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t begin = a.row_ptr[i];
-    const size_t end = a.row_ptr[i + 1];
-    double s_lo = 0.0;
-    double s_hi = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      const double xk = x[idx[k]];
-      s_lo += lo[k] * xk;
-      s_hi += hi[k] * xk;
-    }
-    if (s_lo == 0.0 && s_hi == 0.0) continue;
-    for (size_t k = begin; k < end; ++k) {
-      y_lo[idx[k]] += s_lo * lo[k];
-      y_hi[idx[k]] += s_hi * hi[k];
-    }
-  }
-}
-
 }  // namespace
 
 void MatVecPackedScalar(const PackedCsrView& a, const double* v,
@@ -515,29 +379,6 @@ void MatVecMidPackedScalar(const PackedCsrView& a, const double* lo,
     PackedMatVecMid(a, a.col16, lo, hi, x, y, row_begin, row_end);
   } else {
     PackedMatVecMid(a, a.col32, lo, hi, x, y, row_begin, row_end);
-  }
-}
-
-void MatVecBothPackedScalar(const PackedCsrView& a, const double* lo,
-                            const double* hi, const double* x, double* y_lo,
-                            double* y_hi, size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    PackedMatVecBoth(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-  } else {
-    PackedMatVecBoth(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-  }
-}
-
-void MatVecPairPackedScalar(const PackedCsrView& a, const double* lo,
-                            const double* hi, const double* x_lo,
-                            const double* x_hi, double* y_lo, double* y_hi,
-                            size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    PackedMatVecPair(a, a.col16, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin,
-                     row_end);
-  } else {
-    PackedMatVecPair(a, a.col32, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin,
-                     row_end);
   }
 }
 
@@ -607,19 +448,6 @@ void GramFusedPackedScalar(const PackedCsrView& a, const double* v,
   }
 }
 
-void GramFusedBothPackedScalar(const PackedCsrView& a, const double* lo,
-                               const double* hi, const double* x,
-                               double* y_lo, double* y_hi, size_t row_begin,
-                               size_t row_end) {
-  if (a.col16 != nullptr) {
-    PackedGramFusedBoth(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin,
-                        row_end);
-  } else {
-    PackedGramFusedBoth(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin,
-                        row_end);
-  }
-}
-
 // -- AVX2 forwarding stubs ---------------------------------------------------
 //
 // Without the AVX2 translation unit (non-x86 target or
@@ -639,18 +467,6 @@ void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
                    const double* x, double* y, size_t row_begin,
                    size_t row_end) {
   MatVecMidScalar(a, lo, hi, x, y, row_begin, row_end);
-}
-
-void MatVecBothAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x, double* y_lo, double* y_hi,
-                    size_t row_begin, size_t row_end) {
-  MatVecBothScalar(a, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-}
-
-void MatVecPairAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x_lo, const double* x_hi, double* y_lo,
-                    double* y_hi, size_t row_begin, size_t row_end) {
-  MatVecPairScalar(a, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin, row_end);
 }
 
 void MatVecTAvx2(const CsrView& a, const double* v, const double* x,
@@ -680,12 +496,6 @@ void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
   SellMatVecMidScalar(s, lo, hi, x, y, chunk_begin, chunk_end);
 }
 
-void SellMatVecBothAvx2(const SellView& s, const double* lo, const double* hi,
-                        const double* x, double* y_lo, double* y_hi,
-                        size_t chunk_begin, size_t chunk_end) {
-  SellMatVecBothScalar(s, lo, hi, x, y_lo, y_hi, chunk_begin, chunk_end);
-}
-
 void MatVecPackedAvx2(const PackedCsrView& a, const double* v,
                       const double* x, double* y, size_t row_begin,
                       size_t row_end) {
@@ -698,30 +508,10 @@ void MatVecMidPackedAvx2(const PackedCsrView& a, const double* lo,
   MatVecMidPackedScalar(a, lo, hi, x, y, row_begin, row_end);
 }
 
-void MatVecBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t row_begin, size_t row_end) {
-  MatVecBothPackedScalar(a, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-}
-
-void MatVecPairPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x_lo,
-                          const double* x_hi, double* y_lo, double* y_hi,
-                          size_t row_begin, size_t row_end) {
-  MatVecPairPackedScalar(a, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin,
-                         row_end);
-}
-
 void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end) {
   GramFusedPackedScalar(a, v, x, y, row_begin, row_end);
-}
-
-void GramFusedBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                             const double* hi, const double* x, double* y_lo,
-                             double* y_hi, size_t row_begin, size_t row_end) {
-  GramFusedBothPackedScalar(a, lo, hi, x, y_lo, y_hi, row_begin, row_end);
 }
 
 #endif  // !IVMF_HAVE_AVX2

@@ -22,7 +22,7 @@
 //            by length within a sigma-row window): the matvec becomes a
 //            vertical 4-lane FMA per slice with no per-row remainder, using
 //            32-bit column indices to halve index bandwidth. Kernels the
-//            SELL layout does not cover (transpose, sparse x dense, pair)
+//            SELL layout does not cover (transpose, sparse x dense, Gram)
 //            fall back to the dispatched CSR variant — the CSR arrays stay
 //            resident either way.
 //
@@ -91,7 +91,7 @@ Backend EnvBackend();
 Backend Resolve(Backend request);
 
 // The CSR variant standing in for `backend` on kernels the SELL layout does
-// not implement (transpose, dense, pair): kSell maps to kAvx2/kScalar by
+// not implement (transpose, dense, Gram): kSell maps to kAvx2/kScalar by
 // cpuid, everything else resolves as usual.
 Backend CsrVariant(Backend backend);
 
@@ -143,25 +143,6 @@ void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
                    const double* x, double* y, size_t row_begin,
                    size_t row_end);
 
-// Fused endpoint pair on one input: y_lo = A_* x and y_hi = A^* x in a
-// single pattern pass (one gather feeds both FMA streams).
-void MatVecBothScalar(const CsrView& a, const double* lo, const double* hi,
-                      const double* x, double* y_lo, double* y_hi,
-                      size_t row_begin, size_t row_end);
-void MatVecBothAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x, double* y_lo, double* y_hi,
-                    size_t row_begin, size_t row_end);
-
-// Fused endpoint pair on two inputs: y_lo = A_* x_lo and y_hi = A^* x_hi in
-// a single pattern pass (the second Gram stage of ApplyBoth, where each
-// endpoint chain carries its own vector).
-void MatVecPairScalar(const CsrView& a, const double* lo, const double* hi,
-                      const double* x_lo, const double* x_hi, double* y_lo,
-                      double* y_hi, size_t row_begin, size_t row_end);
-void MatVecPairAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x_lo, const double* x_hi, double* y_lo,
-                    double* y_hi, size_t row_begin, size_t row_end);
-
 // y[col_idx[k]] += v[k] * x[i] over rows [row_begin, row_end): the
 // transpose action as a scatter. Accumulates — the caller zero-fills y (or
 // reduces per-thread partials). AVX2 has no scatter instruction, so the
@@ -182,8 +163,8 @@ void MatDenseScalar(const CsrView& a, const double* v, const double* b,
 void MatDenseAvx2(const CsrView& a, const double* v, const double* b,
                   size_t bcols, double* c, size_t row_begin, size_t row_end);
 
-// Fused endpoint pair of dense products: c_lo = A_* B and c_hi = A^* B in
-// one pattern pass (the kernel under IntervalMultiplyDense).
+// Both endpoints' dense products: c_lo = A_* B and c_hi = A^* B in one
+// pattern pass (the kernel under IntervalMultiplyDense).
 void MatDenseBothScalar(const CsrView& a, const double* lo, const double* hi,
                         const double* b, size_t bcols, double* c_lo,
                         double* c_hi, size_t row_begin, size_t row_end);
@@ -226,13 +207,6 @@ void MatVecPackedScalar(const PackedCsrView& a, const double* v,
 void MatVecMidPackedScalar(const PackedCsrView& a, const double* lo,
                            const double* hi, const double* x, double* y,
                            size_t row_begin, size_t row_end);
-void MatVecBothPackedScalar(const PackedCsrView& a, const double* lo,
-                            const double* hi, const double* x, double* y_lo,
-                            double* y_hi, size_t row_begin, size_t row_end);
-void MatVecPairPackedScalar(const PackedCsrView& a, const double* lo,
-                            const double* hi, const double* x_lo,
-                            const double* x_hi, double* y_lo, double* y_hi,
-                            size_t row_begin, size_t row_end);
 // y[col[k]] += v[k] * x[i] scatter over the packed indices (accumulates;
 // caller zero-fills or reduces partials), mirroring MatVecTScalar.
 void MatVecTPackedScalar(const PackedCsrView& a, const double* v,
@@ -264,10 +238,6 @@ void MatDenseBothPackedScalar(const PackedCsrView& a, const double* lo,
 void GramFusedPackedScalar(const PackedCsrView& a, const double* v,
                            const double* x, double* y, size_t row_begin,
                            size_t row_end);
-void GramFusedBothPackedScalar(const PackedCsrView& a, const double* lo,
-                               const double* hi, const double* x,
-                               double* y_lo, double* y_hi, size_t row_begin,
-                               size_t row_end);
 
 // Packed-index counterparts of the forward CSR family above; same
 // semantics, same aliasing and numerical contracts. Without AVX2 in the
@@ -278,13 +248,6 @@ void MatVecPackedAvx2(const PackedCsrView& a, const double* v,
 void MatVecMidPackedAvx2(const PackedCsrView& a, const double* lo,
                          const double* hi, const double* x, double* y,
                          size_t row_begin, size_t row_end);
-void MatVecBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t row_begin, size_t row_end);
-void MatVecPairPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x_lo,
-                          const double* x_hi, double* y_lo, double* y_hi,
-                          size_t row_begin, size_t row_end);
 
 // -- Fused normal-equations (Gram) kernels -----------------------------------
 //
@@ -302,15 +265,6 @@ void GramFusedScalar(const CsrView& a, const double* v, const double* x,
 void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end);
-
-// Fused both-endpoint Gram pass: y_lo += A_*ᵀ(A_* x), y_hi += A^*ᵀ(A^* x),
-// sharing one pattern walk and one x gather per slot.
-void GramFusedBothScalar(const CsrView& a, const double* lo, const double* hi,
-                         const double* x, double* y_lo, double* y_hi,
-                         size_t row_begin, size_t row_end);
-void GramFusedBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                             const double* hi, const double* x, double* y_lo,
-                             double* y_hi, size_t row_begin, size_t row_end);
 
 // -- SELL-C-4 chunk kernels --------------------------------------------------
 //
@@ -342,13 +296,6 @@ void SellMatVecMidScalar(const SellView& s, const double* lo,
 void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
                        const double* x, double* y, size_t chunk_begin,
                        size_t chunk_end);
-
-void SellMatVecBothScalar(const SellView& s, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t chunk_begin, size_t chunk_end);
-void SellMatVecBothAvx2(const SellView& s, const double* lo, const double* hi,
-                        const double* x, double* y_lo, double* y_hi,
-                        size_t chunk_begin, size_t chunk_end);
 
 }  // namespace ivmf::spk
 

@@ -33,6 +33,16 @@ inline double HSum(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(sum2, swap));
 }
 
+// x[idx[0..3]] for four 32-bit indices. Every 32-bit-index gather goes
+// through here: _mm256_i32gather_pd passes an undefined source vector that
+// GCC 12 reports as maybe-uninitialized, which breaks -Werror builds. The
+// masked form with a zero source and an all-ones mask is the same
+// vgatherdpd instruction and loads the same values.
+inline __m256d Gather(const double* x, __m128i idx) {
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x, idx, all, 8);
+}
+
 inline __m256i LoadIdx(const size_t* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
@@ -80,58 +90,6 @@ void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
     double sum = HSum(acc);
     for (; k < end; ++k) sum += 0.5 * (lo[k] + hi[k]) * x[a.col_idx[k]];
     y[i] = sum;
-  }
-}
-
-void MatVecBothAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x, double* y_lo, double* y_hi,
-                    size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      const __m256d xv = _mm256_i64gather_pd(x, LoadIdx(a.col_idx + k), 8);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, acc_hi);
-    }
-    double sum_lo = HSum(acc_lo);
-    double sum_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const double xk = x[a.col_idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-void MatVecPairAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x_lo, const double* x_hi, double* y_lo,
-                    double* y_hi, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      const __m256i idx = LoadIdx(a.col_idx + k);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k),
-                               _mm256_i64gather_pd(x_lo, idx, 8), acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k),
-                               _mm256_i64gather_pd(x_hi, idx, 8), acc_hi);
-    }
-    double sum_lo = HSum(acc_lo);
-    double sum_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const size_t j = a.col_idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
   }
 }
 
@@ -273,22 +231,22 @@ void MatVecPackedImpl(const PackedCsrView& a, const IdxT* idx, const double* v,
         const __m256i j1 = IdxOps<IdxT>::Load8(idx + k + u + 8);
         acc0 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j0), 8), acc0);
+            Gather(x, _mm256_castsi256_si128(j0)), acc0);
         acc1 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 4),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j0, 1), 8), acc1);
+            Gather(x, _mm256_extracti128_si256(j0, 1)), acc1);
         acc2 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 8),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j1), 8), acc2);
+            Gather(x, _mm256_castsi256_si128(j1)), acc2);
         acc3 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 12),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j1, 1), 8), acc3);
+            Gather(x, _mm256_extracti128_si256(j1, 1)), acc3);
       }
     }
     for (; k + 4 <= end; k += 4) {
       acc0 = _mm256_fmadd_pd(
           _mm256_loadu_pd(v + k),
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8), acc0);
+          Gather(x, IdxOps<IdxT>::Load4(idx + k)), acc0);
     }
     double sum = HSum(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
                                     _mm256_add_pd(acc2, acc3)));
@@ -319,94 +277,20 @@ void MatVecMidPackedImpl(const PackedCsrView& a, const IdxT* idx,
           _mm256_mul_pd(half, _mm256_add_pd(_mm256_loadu_pd(lo + k + 4),
                                             _mm256_loadu_pd(hi + k + 4)));
       acc0 = _mm256_fmadd_pd(
-          m0, _mm256_i32gather_pd(x, _mm256_castsi256_si128(j), 8), acc0);
+          m0, Gather(x, _mm256_castsi256_si128(j)), acc0);
       acc1 = _mm256_fmadd_pd(
-          m1, _mm256_i32gather_pd(x, _mm256_extracti128_si256(j, 1), 8), acc1);
+          m1, Gather(x, _mm256_extracti128_si256(j, 1)), acc1);
     }
     for (; k + 4 <= end; k += 4) {
       const __m256d mid = _mm256_mul_pd(
           half,
           _mm256_add_pd(_mm256_loadu_pd(lo + k), _mm256_loadu_pd(hi + k)));
       acc0 = _mm256_fmadd_pd(
-          mid, _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8), acc0);
+          mid, Gather(x, IdxOps<IdxT>::Load4(idx + k)), acc0);
     }
     double sum = HSum(_mm256_add_pd(acc0, acc1));
     for (; k < end; ++k) sum += 0.5 * (lo[k] + hi[k]) * x[idx[k]];
     y[i] = sum;
-  }
-}
-
-template <typename IdxT>
-void MatVecBothPackedImpl(const PackedCsrView& a, const IdxT* idx,
-                          const double* lo, const double* hi, const double* x,
-                          double* y_lo, double* y_hi, size_t row_begin,
-                          size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d lo0 = _mm256_setzero_pd(), lo1 = _mm256_setzero_pd();
-    __m256d hi0 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
-    for (; k + 8 <= end; k += 8) {
-      __builtin_prefetch(lo + k + kValAhead);
-      __builtin_prefetch(hi + k + kValAhead);
-      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
-      const __m256i j = IdxOps<IdxT>::Load8(idx + k);
-      const __m256d x0 = _mm256_i32gather_pd(x, _mm256_castsi256_si128(j), 8);
-      const __m256d x1 =
-          _mm256_i32gather_pd(x, _mm256_extracti128_si256(j, 1), 8);
-      lo0 = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), x0, lo0);
-      hi0 = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), x0, hi0);
-      lo1 = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k + 4), x1, lo1);
-      hi1 = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k + 4), x1, hi1);
-    }
-    for (; k + 4 <= end; k += 4) {
-      const __m256d xv =
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8);
-      lo0 = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, lo0);
-      hi0 = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, hi0);
-    }
-    double sum_lo = HSum(_mm256_add_pd(lo0, lo1));
-    double sum_hi = HSum(_mm256_add_pd(hi0, hi1));
-    for (; k < end; ++k) {
-      const double xk = x[idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-template <typename IdxT>
-void MatVecPairPackedImpl(const PackedCsrView& a, const IdxT* idx,
-                          const double* lo, const double* hi,
-                          const double* x_lo, const double* x_hi,
-                          double* y_lo, double* y_hi, size_t row_begin,
-                          size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      __builtin_prefetch(lo + k + kValAhead);
-      __builtin_prefetch(hi + k + kValAhead);
-      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
-      const __m128i j = IdxOps<IdxT>::Load4(idx + k);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k),
-                               _mm256_i32gather_pd(x_lo, j, 8), acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k),
-                               _mm256_i32gather_pd(x_hi, j, 8), acc_hi);
-    }
-    double sum_lo = HSum(acc_lo);
-    double sum_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const size_t j = idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
   }
 }
 
@@ -435,22 +319,22 @@ void GramFusedPackedImpl(const PackedCsrView& a, const IdxT* idx,
         const __m256i j1 = IdxOps<IdxT>::Load8(idx + k + u + 8);
         acc0 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j0), 8), acc0);
+            Gather(x, _mm256_castsi256_si128(j0)), acc0);
         acc1 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 4),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j0, 1), 8), acc1);
+            Gather(x, _mm256_extracti128_si256(j0, 1)), acc1);
         acc2 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 8),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j1), 8), acc2);
+            Gather(x, _mm256_castsi256_si128(j1)), acc2);
         acc3 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 12),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j1, 1), 8), acc3);
+            Gather(x, _mm256_extracti128_si256(j1, 1)), acc3);
       }
     }
     for (; k + 4 <= end; k += 4) {
       acc0 = _mm256_fmadd_pd(
           _mm256_loadu_pd(v + k),
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8), acc0);
+          Gather(x, IdxOps<IdxT>::Load4(idx + k)), acc0);
     }
     double s = HSum(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
                                   _mm256_add_pd(acc2, acc3)));
@@ -468,53 +352,6 @@ void GramFusedPackedImpl(const PackedCsrView& a, const IdxT* idx,
       y[idx[k + 3]] += prod[3];
     }
     for (; k < end; ++k) y[idx[k]] += s * v[k];
-  }
-}
-
-template <typename IdxT>
-void GramFusedBothPackedImpl(const PackedCsrView& a, const IdxT* idx,
-                             const double* lo, const double* hi,
-                             const double* x, double* y_lo, double* y_hi,
-                             size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    const size_t begin = a.row_ptr[i];
-    size_t k = begin;
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      __builtin_prefetch(lo + k + kValAhead);
-      __builtin_prefetch(hi + k + kValAhead);
-      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
-      const __m256d xv =
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, acc_hi);
-    }
-    double s_lo = HSum(acc_lo);
-    double s_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const double xk = x[idx[k]];
-      s_lo += lo[k] * xk;
-      s_hi += hi[k] * xk;
-    }
-    if (s_lo == 0.0 && s_hi == 0.0) continue;
-    const __m256d sv_lo = _mm256_set1_pd(s_lo);
-    const __m256d sv_hi = _mm256_set1_pd(s_hi);
-    k = begin;
-    for (; k + 4 <= end; k += 4) {
-      alignas(32) double p_lo[4], p_hi[4];
-      _mm256_store_pd(p_lo, _mm256_mul_pd(sv_lo, _mm256_loadu_pd(lo + k)));
-      _mm256_store_pd(p_hi, _mm256_mul_pd(sv_hi, _mm256_loadu_pd(hi + k)));
-      for (size_t l = 0; l < 4; ++l) {
-        y_lo[idx[k + l]] += p_lo[l];
-        y_hi[idx[k + l]] += p_hi[l];
-      }
-    }
-    for (; k < end; ++k) {
-      y_lo[idx[k]] += s_lo * lo[k];
-      y_hi[idx[k]] += s_hi * hi[k];
-    }
   }
 }
 
@@ -540,31 +377,6 @@ void MatVecMidPackedAvx2(const PackedCsrView& a, const double* lo,
   }
 }
 
-void MatVecBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    MatVecBothPackedImpl(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin,
-                         row_end);
-  } else {
-    MatVecBothPackedImpl(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin,
-                         row_end);
-  }
-}
-
-void MatVecPairPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x_lo,
-                          const double* x_hi, double* y_lo, double* y_hi,
-                          size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    MatVecPairPackedImpl(a, a.col16, lo, hi, x_lo, x_hi, y_lo, y_hi,
-                         row_begin, row_end);
-  } else {
-    MatVecPairPackedImpl(a, a.col32, lo, hi, x_lo, x_hi, y_lo, y_hi,
-                         row_begin, row_end);
-  }
-}
-
 void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end) {
@@ -572,18 +384,6 @@ void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
     GramFusedPackedImpl(a, a.col16, v, x, y, row_begin, row_end);
   } else {
     GramFusedPackedImpl(a, a.col32, v, x, y, row_begin, row_end);
-  }
-}
-
-void GramFusedBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                             const double* hi, const double* x, double* y_lo,
-                             double* y_hi, size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    GramFusedBothPackedImpl(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin,
-                            row_end);
-  } else {
-    GramFusedBothPackedImpl(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin,
-                            row_end);
   }
 }
 
@@ -602,7 +402,7 @@ void SellMatVecAvx2(const SellView& s, const double* v, const double* x,
       const __m128i idx =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.col + k));
       acc = _mm256_fmadd_pd(_mm256_loadu_pd(v + k),
-                            _mm256_i32gather_pd(x, idx, 8), acc);
+                            Gather(x, idx), acc);
     }
     alignas(32) double lanes[kSellC];
     _mm256_store_pd(lanes, acc);
@@ -625,41 +425,13 @@ void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.col + k));
       const __m256d mid = _mm256_mul_pd(
           half, _mm256_add_pd(_mm256_loadu_pd(lo + k), _mm256_loadu_pd(hi + k)));
-      acc = _mm256_fmadd_pd(mid, _mm256_i32gather_pd(x, idx, 8), acc);
+      acc = _mm256_fmadd_pd(mid, Gather(x, idx), acc);
     }
     alignas(32) double lanes[kSellC];
     _mm256_store_pd(lanes, acc);
     const size_t* perm = s.perm + kSellC * c;
     for (size_t l = 0; l < kSellC; ++l) {
       if (perm[l] != kSellPadRow) y[perm[l]] = lanes[l];
-    }
-  }
-}
-
-void SellMatVecBothAvx2(const SellView& s, const double* lo, const double* hi,
-                        const double* x, double* y_lo, double* y_hi,
-                        size_t chunk_begin, size_t chunk_end) {
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    const size_t end = s.chunk_ptr[c + 1];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (size_t k = s.chunk_ptr[c]; k < end; k += kSellC) {
-      const __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.col + k));
-      const __m256d xv = _mm256_i32gather_pd(x, idx, 8);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, acc_hi);
-    }
-    alignas(32) double lanes_lo[kSellC];
-    alignas(32) double lanes_hi[kSellC];
-    _mm256_store_pd(lanes_lo, acc_lo);
-    _mm256_store_pd(lanes_hi, acc_hi);
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) {
-        y_lo[perm[l]] = lanes_lo[l];
-        y_hi[perm[l]] = lanes_hi[l];
-      }
     }
   }
 }

@@ -119,12 +119,6 @@ void ExpectKernelsMatchMonolithic(const SparseIntervalMatrix& mono,
   sharded.MultiplyMid(x, got);
   ExpectVecNear(got, want, what + " MultiplyMid");
 
-  std::vector<double> got_hi(rows), want_hi(rows);
-  mono.MultiplyBoth(x, want, want_hi);
-  sharded.MultiplyBoth(x, got, got_hi);
-  ExpectVecNear(got, want, what + " MultiplyBoth lo");
-  ExpectVecNear(got_hi, want_hi, what + " MultiplyBoth hi");
-
   std::vector<double> t_got(cols), t_want(cols);
   std::vector<double> t_lo(cols), t_hi(cols);
   for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
@@ -144,11 +138,12 @@ void ExpectKernelsMatchMonolithic(const SparseIntervalMatrix& mono,
     sharded.GramMultiply(e, x, g_got);
     ExpectVecNear(g_got, g_want, what + " GramMultiply");
   }
-  std::vector<double> g_got_hi(cols), g_want_hi(cols);
-  mono.GramMultiplyBoth(x, g_want, g_want_hi);
-  sharded.GramMultiplyBoth(x, g_got, g_got_hi);
-  ExpectVecNear(g_got, g_want, what + " GramMultiplyBoth lo");
-  ExpectVecNear(g_got_hi, g_want_hi, what + " GramMultiplyBoth hi");
+  // The Lanczos-facing adapter, per endpoint.
+  for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
+    mono.GramMultiply(e, x, g_want);
+    ShardedGramOperator(sharded, e).Apply(x, g_got);
+    ExpectVecNear(g_got, g_want, what + " ShardedGramOperator");
+  }
 
   const Matrix b = RandomDense(cols, 3, 31);
   const Matrix bt = RandomDense(rows, 3, 32);

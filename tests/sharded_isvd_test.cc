@@ -8,7 +8,14 @@
 // the sharded route has no MMᵀ side (no transposed store exists).
 // A second pass runs the mmap-backed store through the same harness — the
 // out-of-core decompose path must be numerically indistinguishable from
-// the in-memory one.
+// the in-memory one. Both eigensolvers run: Lanczos exercises the
+// matrix-free Gram operators, Jacobi the dense-Gram statics.
+//
+// A wide fixture (cols > rows) under GramSide::kAuto covers the one place
+// the two stores resolve the Gram side differently: the CSR store picks
+// MMᵀ there, while the sharded store stays on MᵀM. ISVD3/4 are not
+// invariant under transposition, so the sharded result is compared with
+// the CSR route pinned to MᵀM.
 
 #include <cmath>
 #include <vector>
@@ -56,7 +63,8 @@ void ExpectResultsAgree(const IsvdResult& want, const IsvdResult& got,
 }
 
 class ShardedIsvdAgreement
-    : public ::testing::TestWithParam<::testing::tuple<int, bool>> {};
+    : public ::testing::TestWithParam<::testing::tuple<int, bool, EigSolver>> {
+};
 
 TEST_P(ShardedIsvdAgreement, ShardedStrategyMatchesMonolithic) {
   const int strategy = ::testing::get<0>(GetParam());
@@ -70,7 +78,7 @@ TEST_P(ShardedIsvdAgreement, ShardedStrategyMatchesMonolithic) {
 
   IsvdOptions options;
   options.target = DecompositionTarget::kB;
-  options.eig_solver = EigSolver::kLanczos;
+  options.eig_solver = ::testing::get<2>(GetParam());
   // The sharded route is always MᵀM; pin the reference to the same side.
   options.gram_side = GramSide::kMtM;
 
@@ -90,8 +98,61 @@ TEST_P(ShardedIsvdAgreement, ShardedStrategyMatchesMonolithic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StrategiesAndSigns, ShardedIsvdAgreement,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4), ::testing::Bool()));
+    StrategiesSignsAndSolvers, ShardedIsvdAgreement,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4), ::testing::Bool(),
+                       ::testing::Values(EigSolver::kLanczos,
+                                         EigSolver::kJacobi)));
+
+class ShardedIsvdWide : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardedIsvdWide, AutoGramSideMatchesMonolithic) {
+  const int strategy = GetParam();
+  const size_t rows = 40, cols = 120, rank = 5;
+  const SparseIntervalMatrix mono = MakeSparseFixture(
+      rows, cols, 0.2, /*signed_values=*/false,
+      950 + static_cast<uint64_t>(strategy));
+  const ShardedSparseIntervalMatrix sharded =
+      ShardedSparseIntervalMatrix::FromCsr(mono, 16);
+
+  IsvdOptions options;
+  options.target = DecompositionTarget::kB;
+  options.eig_solver = EigSolver::kLanczos;
+  options.gram_side = GramSide::kAuto;
+  EXPECT_TRUE(ComputeGramEig(mono, rank, options).transposed);
+  EXPECT_FALSE(ComputeGramEig(sharded, rank, options).transposed);
+  const IsvdResult got = RunIsvd(strategy, sharded, rank, options);
+
+  options.gram_side = GramSide::kMtM;
+  ExpectResultsAgree(RunIsvd(strategy, mono, rank, options), got, 1e-8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, ShardedIsvdWide,
+                         ::testing::Values(0, 1, 2, 3, 4));
+
+// GTest death tests fork, which ThreadSanitizer does not support.
+#if defined(__SANITIZE_THREAD__)
+#define IVMF_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define IVMF_TSAN_BUILD 1
+#endif
+#endif
+
+#ifndef IVMF_TSAN_BUILD
+TEST(ShardedIsvdDeathTest, RejectsTransposedGramEig) {
+  // A CSR GramEig of a wide matrix is computed on MMᵀ; the sharded store
+  // has no transposed side to run it on.
+  const SparseIntervalMatrix mono =
+      MakeSparseFixture(20, 60, 0.2, /*signed_values=*/false, 960);
+  IsvdOptions options;
+  options.gram_side = GramSide::kMMt;
+  const GramEig gram = ComputeGramEig(mono, 3, options);
+  ASSERT_TRUE(gram.transposed);
+  const ShardedSparseIntervalMatrix sharded =
+      ShardedSparseIntervalMatrix::FromCsr(mono, 8);
+  EXPECT_DEATH(Isvd2(sharded, 3, gram, options), "GramEig computed on");
+}
+#endif
 
 }  // namespace
 }  // namespace ivmf

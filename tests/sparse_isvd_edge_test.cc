@@ -1,7 +1,9 @@
 // Degenerate-input coverage for the sparse matrix-free ISVD path,
 // mirroring the dense tests/isvd_edge_test.cc: empty shapes, all-zero
 // matrices, rank clamping, all-zero rows, single row/column — the guards
-// the sparse RunIsvd / LanczosSvd entry points previously lacked.
+// the sparse RunIsvd / LanczosSvd entry points previously lacked. Every
+// case runs on the CSR store and on a sharded copy with two-row shards,
+// since both stores share one implementation per strategy.
 
 #include <cmath>
 
@@ -9,6 +11,7 @@
 #include "base/rng.h"
 #include "core/sparse_isvd.h"
 #include "linalg/lanczos_svd.h"
+#include "sparse/block_matrix.h"
 #include "sparse/sparse_interval_matrix.h"
 
 namespace ivmf {
@@ -42,7 +45,16 @@ SparseIntervalMatrix RandomSparse(size_t n, size_t m, double fill, Rng& rng) {
   return SparseIntervalMatrix::FromTriplets(n, m, std::move(triplets));
 }
 
-class SparseIsvdEdgeTest : public ::testing::TestWithParam<int> {};
+// Parameters: strategy 0..4, and whether to run on a sharded copy.
+class SparseIsvdEdgeTest
+    : public ::testing::TestWithParam<::testing::tuple<int, bool>> {
+ protected:
+  IsvdResult Run(const SparseIntervalMatrix& m, size_t rank) const {
+    const int strategy = ::testing::get<0>(GetParam());
+    if (!::testing::get<1>(GetParam())) return RunIsvd(strategy, m, rank);
+    return RunIsvd(strategy, ShardedSparseIntervalMatrix::FromCsr(m, 2), rank);
+  }
+};
 
 TEST_P(SparseIsvdEdgeTest, EmptyShapeReturnsRankZero) {
   // 0 x 0 and 0 x m / n x 0 shapes: a well-formed empty decomposition
@@ -52,7 +64,7 @@ TEST_P(SparseIsvdEdgeTest, EmptyShapeReturnsRankZero) {
                              std::pair<size_t, size_t>{7, 0}}) {
     const SparseIntervalMatrix empty =
         SparseIntervalMatrix::FromTriplets(n, m, {});
-    const IsvdResult result = RunIsvd(GetParam(), empty, 3);
+    const IsvdResult result = Run(empty, 3);
     EXPECT_EQ(result.rank(), 0u);
     EXPECT_EQ(result.u.rows(), n);
     EXPECT_EQ(result.v.rows(), m);
@@ -63,7 +75,7 @@ TEST_P(SparseIsvdEdgeTest, EmptyShapeReturnsRankZero) {
 TEST_P(SparseIsvdEdgeTest, AllZeroMatrix) {
   // A shaped matrix with no stored entries (every cell the zero interval).
   const SparseIntervalMatrix zero = SparseIntervalMatrix::FromTriplets(6, 8, {});
-  const IsvdResult result = RunIsvd(GetParam(), zero, 3);
+  const IsvdResult result = Run(zero, 3);
   EXPECT_TRUE(ResultIsFinite(result));
   for (const Interval& s : result.sigma) {
     EXPECT_NEAR(s.lo, 0.0, 1e-12);
@@ -74,7 +86,7 @@ TEST_P(SparseIsvdEdgeTest, AllZeroMatrix) {
 TEST_P(SparseIsvdEdgeTest, RankZeroMeansFullRank) {
   Rng rng(11);
   const SparseIntervalMatrix m = RandomSparse(9, 5, 0.5, rng);
-  const IsvdResult result = RunIsvd(GetParam(), m, 0);
+  const IsvdResult result = Run(m, 0);
   EXPECT_EQ(result.rank(), 5u);
   EXPECT_TRUE(ResultIsFinite(result));
 }
@@ -82,7 +94,7 @@ TEST_P(SparseIsvdEdgeTest, RankZeroMeansFullRank) {
 TEST_P(SparseIsvdEdgeTest, RankClampedToMinDimension) {
   Rng rng(12);
   const SparseIntervalMatrix m = RandomSparse(4, 10, 0.6, rng);
-  const IsvdResult result = RunIsvd(GetParam(), m, 99);
+  const IsvdResult result = Run(m, 99);
   EXPECT_EQ(result.rank(), 4u);
   EXPECT_TRUE(ResultIsFinite(result));
 }
@@ -100,7 +112,7 @@ TEST_P(SparseIsvdEdgeTest, AllZeroRowsAreHandled) {
   }
   const SparseIntervalMatrix m =
       SparseIntervalMatrix::FromTriplets(10, 6, std::move(triplets));
-  const IsvdResult result = RunIsvd(GetParam(), m, 4);
+  const IsvdResult result = Run(m, 4);
   EXPECT_EQ(result.rank(), 4u);
   EXPECT_TRUE(ResultIsFinite(result));
 }
@@ -108,7 +120,7 @@ TEST_P(SparseIsvdEdgeTest, AllZeroRowsAreHandled) {
 TEST_P(SparseIsvdEdgeTest, SingleRowMatrix) {
   Rng rng(14);
   const SparseIntervalMatrix m = RandomSparse(1, 6, 0.9, rng);
-  const IsvdResult result = RunIsvd(GetParam(), m, 1);
+  const IsvdResult result = Run(m, 1);
   EXPECT_EQ(result.u.rows(), 1u);
   EXPECT_EQ(result.v.rows(), 6u);
   EXPECT_TRUE(ResultIsFinite(result));
@@ -117,14 +129,15 @@ TEST_P(SparseIsvdEdgeTest, SingleRowMatrix) {
 TEST_P(SparseIsvdEdgeTest, SingleColumnMatrix) {
   Rng rng(15);
   const SparseIntervalMatrix m = RandomSparse(6, 1, 0.9, rng);
-  const IsvdResult result = RunIsvd(GetParam(), m, 1);
+  const IsvdResult result = Run(m, 1);
   EXPECT_EQ(result.u.rows(), 6u);
   EXPECT_EQ(result.v.rows(), 1u);
   EXPECT_TRUE(ResultIsFinite(result));
 }
 
-INSTANTIATE_TEST_SUITE_P(Strategies, SparseIsvdEdgeTest,
-                         ::testing::Values(0, 1, 2, 3, 4));
+INSTANTIATE_TEST_SUITE_P(StrategiesAndStores, SparseIsvdEdgeTest,
+                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+                                            ::testing::Bool()));
 
 TEST(LanczosSvdEdgeTest, EmptyOperatorReturnsEmptyDecomposition) {
   const SvdResult result = ComputeLanczosSvd(Matrix(0, 0), 3);

@@ -7,7 +7,8 @@
 // length is not a multiple of the 4/8-wide blocks, empty rows, a single
 // row or column, fully dense rows, all nnz concentrated in one row, and
 // the empty matrix. Both signed and non-negative value regimes run, since
-// the fused endpoint kernels process two value arrays off one pattern.
+// the midpoint and interval-product kernels read two value arrays off one
+// pattern.
 //
 // Tolerance: the blocked kernels sum each row's terms in a fixed blocked
 // order with FMA, which legitimately differs from the naive left-to-right
@@ -221,30 +222,6 @@ TEST_P(SparseKernelDiffTest, MultiplyMatchesReference) {
   }
 }
 
-TEST_P(SparseKernelDiffTest, FusedEndpointKernelsMatchReference) {
-  const bool non_negative = GetParam();
-  Rng rng(12);
-  for (const Shape& s : MakeShapes(non_negative)) {
-    const Reference ref{s};
-    const std::vector<double> x = RandomVector(rng, s.cols);
-    const std::vector<double> x_hi = RandomVector(rng, s.cols);
-    for (spk::Backend b : kBackends) {
-      const SparseIntervalMatrix m = Build(s, b);
-      std::vector<double> y_lo, y_hi;
-      m.MultiplyBoth(x, y_lo, y_hi);
-      ExpectVectorNear(y_lo, ref.MatVec(Endpoint::kLower, x),
-                       "MultiplyBoth.lo/" + CaseName(s, b, non_negative));
-      ExpectVectorNear(y_hi, ref.MatVec(Endpoint::kUpper, x),
-                       "MultiplyBoth.hi/" + CaseName(s, b, non_negative));
-      m.MultiplyPair(x, x_hi, y_lo, y_hi);
-      ExpectVectorNear(y_lo, ref.MatVec(Endpoint::kLower, x),
-                       "MultiplyPair.lo/" + CaseName(s, b, non_negative));
-      ExpectVectorNear(y_hi, ref.MatVec(Endpoint::kUpper, x_hi),
-                       "MultiplyPair.hi/" + CaseName(s, b, non_negative));
-    }
-  }
-}
-
 TEST_P(SparseKernelDiffTest, MultiplyTransposeMatchesReference) {
   const bool non_negative = GetParam();
   Rng rng(13);
@@ -313,7 +290,7 @@ TEST_P(SparseKernelDiffTest, GramOperatorMatchesComposition) {
       EXPECT_EQ(mt.kernel(), b) << "Transpose must propagate the backend";
       const SparseGramOperator lower(m, mt, Endpoint::kLower);
       const SparseGramOperator upper(m, mt, Endpoint::kUpper);
-      std::vector<double> y, y_lo, y_hi;
+      std::vector<double> y;
       lower.Apply(x, y);
       const std::vector<double> want_lo =
           ref.MatVecT(Endpoint::kLower, ref.MatVec(Endpoint::kLower, x));
@@ -322,11 +299,6 @@ TEST_P(SparseKernelDiffTest, GramOperatorMatchesComposition) {
       const std::vector<double> want_hi =
           ref.MatVecT(Endpoint::kUpper, ref.MatVec(Endpoint::kUpper, x));
       ExpectVectorNear(y, want_hi, "Gram.hi/" + CaseName(s, b, non_negative));
-      lower.ApplyBoth(x, y_lo, y_hi);
-      ExpectVectorNear(y_lo, want_lo,
-                       "Gram.ApplyBoth.lo/" + CaseName(s, b, non_negative));
-      ExpectVectorNear(y_hi, want_hi,
-                       "Gram.ApplyBoth.hi/" + CaseName(s, b, non_negative));
     }
   }
 }
@@ -346,18 +318,13 @@ TEST_P(SparseKernelDiffTest, FusedGramMatchesReference) {
         ref.MatVecT(Endpoint::kUpper, ref.MatVec(Endpoint::kUpper, x));
     for (spk::Backend b : kBackends) {
       const SparseIntervalMatrix m = Build(s, b);
-      std::vector<double> y, y_lo, y_hi;
+      std::vector<double> y;
       m.GramMultiply(Endpoint::kLower, x, y);
       ExpectVectorNear(y, want_lo,
                        "GramMultiply.lo/" + CaseName(s, b, non_negative));
       m.GramMultiply(Endpoint::kUpper, x, y);
       ExpectVectorNear(y, want_hi,
                        "GramMultiply.hi/" + CaseName(s, b, non_negative));
-      m.GramMultiplyBoth(x, y_lo, y_hi);
-      ExpectVectorNear(y_lo, want_lo,
-                       "GramMultiplyBoth.lo/" + CaseName(s, b, non_negative));
-      ExpectVectorNear(y_hi, want_hi,
-                       "GramMultiplyBoth.hi/" + CaseName(s, b, non_negative));
     }
   }
 }
@@ -433,10 +400,6 @@ TEST(SparseKernelDeathTest, MultiplyRejectsAliasedOutput) {
   EXPECT_DEATH(m.Multiply(Endpoint::kLower, x, x), "alias");
   EXPECT_DEATH(m.MultiplyMid(x, x), "alias");
   EXPECT_DEATH(m.MultiplyTranspose(Endpoint::kLower, x, x), "alias");
-  std::vector<double> other = {0.0, 0.0};
-  EXPECT_DEATH(m.MultiplyBoth(x, x, other), "alias");
-  EXPECT_DEATH(m.MultiplyBoth(x, other, other), "distinct");
-  EXPECT_DEATH(m.MultiplyPair(x, other, x, other), "alias");
 }
 #endif
 

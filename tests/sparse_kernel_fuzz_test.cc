@@ -147,26 +147,25 @@ void RunTrial(uint64_t seed, RowDist dist) {
   }
 
   // Scalar reference outputs.
-  std::vector<double> ref_lo, ref_hi, ref_mid, ref_t, ref_pair_lo,
-      ref_pair_hi, ref_gram_lo, ref_gram_hi;
+  std::vector<double> ref_lo, ref_hi, ref_hi_x2, ref_mid, ref_t, ref_gram_lo,
+      ref_gram_hi;
   scalar.Multiply(Endpoint::kLower, x, ref_lo);
   scalar.Multiply(Endpoint::kUpper, x, ref_hi);
+  scalar.Multiply(Endpoint::kUpper, x2, ref_hi_x2);
   scalar.MultiplyMid(x, ref_mid);
   scalar.MultiplyTranspose(Endpoint::kLower, xt, ref_t);
-  scalar.MultiplyPair(x, x2, ref_pair_lo, ref_pair_hi);
   const Matrix ref_dense = scalar.MultiplyDense(Endpoint::kUpper, b);
   const IntervalMatrix ref_iprod = scalar.IntervalMultiplyDense(b);
-  const SparseGramOperator scalar_gram(scalar, scalar_t, Endpoint::kLower);
-  scalar_gram.ApplyBoth(x, ref_gram_lo, ref_gram_hi);
+  SparseGramOperator(scalar, scalar_t, Endpoint::kLower).Apply(x, ref_gram_lo);
+  SparseGramOperator(scalar, scalar_t, Endpoint::kUpper).Apply(x, ref_gram_hi);
   // The fused one-pass Gram on the scalar backend must agree with the
   // two-pass composition the operator runs there.
   {
-    std::vector<double> fused_lo, fused_hi, fused_one;
-    scalar.GramMultiplyBoth(x, fused_lo, fused_hi);
-    ExpectAgree(fused_lo, ref_gram_lo, tag + "/scalar/gram_fused.lo");
-    ExpectAgree(fused_hi, ref_gram_hi, tag + "/scalar/gram_fused.hi");
-    scalar.GramMultiply(Endpoint::kLower, x, fused_one);
-    ExpectAgree(fused_one, ref_gram_lo, tag + "/scalar/gram_fused.one");
+    std::vector<double> fused;
+    scalar.GramMultiply(Endpoint::kLower, x, fused);
+    ExpectAgree(fused, ref_gram_lo, tag + "/scalar/gram_fused.lo");
+    scalar.GramMultiply(Endpoint::kUpper, x, fused);
+    ExpectAgree(fused, ref_gram_hi, tag + "/scalar/gram_fused.hi");
   }
 
   for (spk::Backend backend : {spk::Backend::kAvx2, spk::Backend::kSell}) {
@@ -175,19 +174,15 @@ void RunTrial(uint64_t seed, RowDist dist) {
     const SparseIntervalMatrix mt = m.Transpose();
     const std::string what = tag + "/" + spk::BackendName(backend);
 
-    std::vector<double> y, y2;
+    std::vector<double> y;
     m.Multiply(Endpoint::kLower, x, y);
     ExpectAgree(y, ref_lo, what + "/multiply.lo");
     m.Multiply(Endpoint::kUpper, x, y);
     ExpectAgree(y, ref_hi, what + "/multiply.hi");
     m.MultiplyMid(x, y);
     ExpectAgree(y, ref_mid, what + "/mid");
-    m.MultiplyBoth(x, y, y2);
-    ExpectAgree(y, ref_lo, what + "/both.lo");
-    ExpectAgree(y2, ref_hi, what + "/both.hi");
-    m.MultiplyPair(x, x2, y, y2);
-    ExpectAgree(y, ref_pair_lo, what + "/pair.lo");
-    ExpectAgree(y2, ref_pair_hi, what + "/pair.hi");
+    m.Multiply(Endpoint::kUpper, x2, y);
+    ExpectAgree(y, ref_hi_x2, what + "/multiply.hi.x2");
     m.MultiplyTranspose(Endpoint::kLower, xt, y);
     ExpectAgree(y, ref_t, what + "/transpose");
     ExpectAgree(m.MultiplyDense(Endpoint::kUpper, b), ref_dense,
@@ -196,15 +191,14 @@ void RunTrial(uint64_t seed, RowDist dist) {
     ExpectAgree(iprod.lower(), ref_iprod.lower(), what + "/iprod.lo");
     ExpectAgree(iprod.upper(), ref_iprod.upper(), what + "/iprod.hi");
 
-    const SparseGramOperator gram(m, mt, Endpoint::kLower);
-    gram.ApplyBoth(x, y, y2);
+    SparseGramOperator(m, mt, Endpoint::kLower).Apply(x, y);
     ExpectAgree(y, ref_gram_lo, what + "/gram.lo");
-    ExpectAgree(y2, ref_gram_hi, what + "/gram.hi");
-    m.GramMultiplyBoth(x, y, y2);
-    ExpectAgree(y, ref_gram_lo, what + "/gram_fused.lo");
-    ExpectAgree(y2, ref_gram_hi, what + "/gram_fused.hi");
+    SparseGramOperator(m, mt, Endpoint::kUpper).Apply(x, y);
+    ExpectAgree(y, ref_gram_hi, what + "/gram.hi");
     m.GramMultiply(Endpoint::kLower, x, y);
-    ExpectAgree(y, ref_gram_lo, what + "/gram_fused.one");
+    ExpectAgree(y, ref_gram_lo, what + "/gram_fused.lo");
+    m.GramMultiply(Endpoint::kUpper, x, y);
+    ExpectAgree(y, ref_gram_hi, what + "/gram_fused.hi");
   }
 }
 
