@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the computational kernels under the
 // ISVD pipeline: scalar/interval matrix products, sparse CSR matvec
-// variants (with the obs matvec/nnz counters surfaced per iteration),
-// one-sided Jacobi SVD, symmetric Jacobi eigendecomposition, Hungarian
-// assignment, ILSA, and a full ISVD4-b decomposition.
+// variants (with the obs matvec/nnz counters surfaced per iteration), a
+// cold Golub–Kahan–Lanczos SVD of a tall sparse map, one-sided Jacobi SVD,
+// symmetric Jacobi eigendecomposition, Hungarian assignment, ILSA, and a
+// full ISVD4-b decomposition.
 //
 // Like the fig10 benches, accepts --json[=PATH] (default
 // BENCH_microbench_kernels.json) and emits one flat record per benchmark
@@ -27,6 +28,7 @@
 #include "data/synthetic.h"
 #include "interval/interval_matrix.h"
 #include "linalg/eig.h"
+#include "linalg/lanczos_svd.h"
 #include "linalg/svd.h"
 #include "obs/metrics.h"
 #include "sparse/sparse_gram_operator.h"
@@ -264,6 +266,32 @@ void BM_SparseGramApplySell(benchmark::State& state) {
 BENCHMARK(BM_SparseGramApply)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplyScalar)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplySell)->Arg(2000)->Arg(8000)->Arg(20000);
+
+// One cold rank-10 Golub–Kahan–Lanczos SVD (the ISVD0/ISVD1 solve) of the
+// upper endpoint of a tall, short-row CF matrix: 20 users per item and ~8
+// ratings per user, the serve_ingest regime where reorthogonalizing the
+// left basis, not the matvecs, dominates the solve. Arg = items.
+void BM_LanczosSvdTall(benchmark::State& state) {
+  RatingsConfig config;
+  config.num_items = static_cast<size_t>(state.range(0));
+  config.num_users = 20 * config.num_items;
+  config.fill = 8.0 / static_cast<double>(config.num_items);
+  config.seed = 404;
+  const SparseIntervalMatrix m =
+      SparseCfIntervalMatrix(GenerateSparseRatings(config), 0.3);
+  const SparseIntervalMatrix mt = m.Transpose();
+  const SparseEndpointMap map(m, mt, SparseEndpointMap::Part::kUpper);
+  size_t steps = 0;
+  for (auto _ : state) {
+    const SvdResult svd = ComputeLanczosSvd(map, 10);
+    benchmark::DoNotOptimize(svd.sigma.data());
+    steps = svd.iterations;
+  }
+  // Items are Krylov steps: items_per_second is steps solved per second.
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(steps));
+}
+BENCHMARK(BM_LanczosSvdTall)->Arg(2000);
 
 // -- Differential self-check (--check) ---------------------------------------
 //

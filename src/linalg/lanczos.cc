@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -14,18 +15,106 @@ namespace {
 
 double SignOf(double a, double b) { return b >= 0.0 ? std::abs(a) : -std::abs(a); }
 
+// Coordinates per block of a blocked basis sweep: the 4 KiB slice of the
+// vector being updated stays in L1, and the count x 4 KiB basis slab it
+// meets stays in L2 between the two reads of the fused sweep.
+constexpr size_t kSweepBlock = 512;
+
+// Basis rows swept together: one pass over the vector serves four rows,
+// and their dot products run eight independent accumulator chains.
+constexpr size_t kRowGroup = 4;
+
+// Two doubles in one vector register (GCC/Clang vector extension: SSE2 on
+// x86-64, scalar pairs where no vector unit exists). Written out because
+// the auto-vectorizer interleaves the grouped dot products with shuffles.
+typedef double Lanes __attribute__((vector_size(16)));
+
+Lanes LoadLanes(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// h[r] += q[r] · x over `len` coordinates, for the R rows q[0..R).
+template <size_t R>
+void DotGroup(const double* const* q, const double* x, size_t len,
+              double* h) {
+  Lanes acc[R][2] = {};
+  size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    const Lanes x0 = LoadLanes(x + i);
+    const Lanes x1 = LoadLanes(x + i + 2);
+    for (size_t r = 0; r < R; ++r) {
+      acc[r][0] += LoadLanes(q[r] + i) * x0;
+      acc[r][1] += LoadLanes(q[r] + i + 2) * x1;
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    const Lanes pair = acc[r][0] + acc[r][1];
+    double sum = pair[0] + pair[1];
+    for (size_t t = i; t < len; ++t) sum += q[r][t] * x[t];
+    h[r] += sum;
+  }
+}
+
+// x -= Σ_r h[r] q[r] over `len` coordinates, for the R rows q[0..R).
+template <size_t R>
+void SubtractGroup(const double* const* q, const double* h, double* x,
+                   size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    double sum = 0.0;
+    for (size_t r = 0; r < R; ++r) sum += h[r] * q[r][i];
+    x[i] -= sum;
+  }
+}
+
+// h[k] += q_k · x for k < count, over coordinates [begin, begin + len);
+// `x` points at coordinate `begin`.
+void DotRows(const Matrix& basis, size_t count, size_t begin, size_t len,
+             const double* x, double* h) {
+  const double* q[kRowGroup];
+  size_t k = 0;
+  for (; k + kRowGroup <= count; k += kRowGroup) {
+    for (size_t r = 0; r < kRowGroup; ++r) q[r] = basis.RowPtr(k + r) + begin;
+    DotGroup<kRowGroup>(q, x, len, h + k);
+  }
+  for (; k < count; ++k) {
+    q[0] = basis.RowPtr(k) + begin;
+    DotGroup<1>(q, x, len, h + k);
+  }
+}
+
+// x -= Σ_{k < count} h[k] q_k over coordinates [begin, begin + len); `x`
+// points at coordinate `begin`.
+void SubtractRows(const Matrix& basis, size_t count, size_t begin, size_t len,
+                  const double* h, double* x) {
+  const double* q[kRowGroup];
+  size_t k = 0;
+  for (; k + kRowGroup <= count; k += kRowGroup) {
+    for (size_t r = 0; r < kRowGroup; ++r) q[r] = basis.RowPtr(k + r) + begin;
+    SubtractGroup<kRowGroup>(q, h + k, x, len);
+  }
+  for (; k < count; ++k) {
+    q[0] = basis.RowPtr(k) + begin;
+    SubtractGroup<1>(q, h + k, x, len);
+  }
+}
+
 struct EigInstruments {
   obs::Counter& solves;
   obs::Counter& iterations;
   obs::Counter& restarts;
   obs::Gauge& residual;
+  obs::Histogram& orth_seconds;
 
   static EigInstruments& Get() {
     static EigInstruments instruments{
         obs::MetricsRegistry::Global().GetCounter("lanczos.eig.solves"),
         obs::MetricsRegistry::Global().GetCounter("lanczos.eig.iterations"),
         obs::MetricsRegistry::Global().GetCounter("lanczos.eig.restarts"),
-        obs::MetricsRegistry::Global().GetGauge("lanczos.eig.residual_bound")};
+        obs::MetricsRegistry::Global().GetGauge("lanczos.eig.residual_bound"),
+        obs::MetricsRegistry::Global().GetHistogram("lanczos.orth.seconds",
+                                                    {{"solver", "eig"}})};
     return instruments;
   }
 };
@@ -46,6 +135,76 @@ bool WarmStartVector(const Matrix& basis, size_t dim, std::vector<double>& v) {
   if (!(norm > 1e-12)) return false;
   for (size_t i = 0; i < dim; ++i) v[i] = sums[i] / norm;
   return true;
+}
+
+void Reorthogonalize(const Matrix& basis, size_t count,
+                     std::vector<double>& w) {
+  if (count == 0) return;
+  const size_t dim = w.size();
+  IVMF_DCHECK(basis.cols() == dim && count <= basis.rows());
+  std::vector<double> h1(count, 0.0), h2(count, 0.0);
+  double* x = w.data();
+  // Sweep 1: h1 = Q w.
+  DotRows(basis, count, 0, dim, x, h1.data());
+  // Sweep 2: w -= Qᵀ h1 block by block, and h2 = Q w over each block as
+  // soon as it is final, while the block's basis slab is still in cache.
+  for (size_t begin = 0; begin < dim; begin += kSweepBlock) {
+    const size_t len = std::min(kSweepBlock, dim - begin);
+    SubtractRows(basis, count, begin, len, h1.data(), x + begin);
+    DotRows(basis, count, begin, len, x + begin, h2.data());
+  }
+  // Sweep 3: w -= Qᵀ h2.
+  SubtractRows(basis, count, 0, dim, h2.data(), x);
+}
+
+bool RestartVector(Matrix& basis, size_t count, std::vector<double>& scratch,
+                   Rng& rng, double tolerance) {
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    for (double& x : scratch) x = rng.Normal();
+    Reorthogonalize(basis, count, scratch);
+    const double norm = Norm2(scratch);
+    if (norm > tolerance) {
+      double* row = basis.RowPtr(count);
+      for (size_t i = 0; i < scratch.size(); ++i) row[i] = scratch[i] / norm;
+      return true;
+    }
+  }
+  return false;
+}
+
+Matrix RitzVectors(const Matrix& basis, const Matrix& coef) {
+  const size_t dim = basis.cols();
+  const size_t built = coef.rows();
+  const size_t keep = coef.cols();
+  Matrix out(dim, keep);
+  // A tile of kSweepBlock coordinates holds the keep combinations as
+  // contiguous rows, accumulated from contiguous basis rows, and is then
+  // transposed into `out`.
+  std::vector<double> tile(keep * kSweepBlock);
+  for (size_t begin = 0; begin < dim; begin += kSweepBlock) {
+    const size_t len = std::min(kSweepBlock, dim - begin);
+    std::fill(tile.begin(), tile.end(), 0.0);
+    for (size_t c = 0; c < keep; ++c) {
+      double* acc = tile.data() + c * kSweepBlock;
+      for (size_t k = 0; k < built; ++k) {
+        const double weight = coef(k, c);
+        const double* q = basis.RowPtr(k) + begin;
+        for (size_t i = 0; i < len; ++i) acc[i] += weight * q[i];
+      }
+    }
+    for (size_t i = 0; i < len; ++i) {
+      double* row = out.RowPtr(begin + i);
+      for (size_t c = 0; c < keep; ++c) row[c] = tile[c * kSweepBlock + i];
+    }
+  }
+  return out;
+}
+
+OrthTimer::OrthTimer(obs::Histogram& histogram)
+    : histogram_(obs::Enabled() ? &histogram : nullptr) {}
+
+OrthTimer::~OrthTimer() {
+  if (histogram_ != nullptr) histogram_->Record(seconds_);
 }
 
 }  // namespace lanczos_internal
@@ -130,6 +289,7 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
                             const LanczosOptions& options) {
   obs::TraceSpan span("lanczos.eig");
   EigInstruments& instruments = EigInstruments::Get();
+  lanczos_internal::OrthTimer orth_timer(instruments.orth_seconds);
   instruments.solves.Add(1);
   const size_t n = op.Dim();
   // rank == 0 (or an over-ask) means the full spectrum: grow the Krylov
@@ -141,8 +301,9 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
       n, static_cast<size_t>(options.subspace_factor * effective_rank) +
              options.subspace_extra);
 
-  // Lanczos basis Q (n x m) with full reorthogonalization.
-  Matrix q(n, m);
+  // Lanczos basis with full reorthogonalization: row k of `q` is the
+  // Krylov vector q_k.
+  Matrix q(m, n);
   std::vector<double> alpha(m, 0.0), beta(m, 0.0);
 
   Rng rng(options.seed);
@@ -152,32 +313,28 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
     const double norm = Norm2(v);
     for (double& x : v) x /= norm;
   }
-  for (size_t i = 0; i < n; ++i) q(i, 0) = v[i];
+  std::copy(v.begin(), v.end(), q.RowPtr(0));
 
   bool exhausted = false;
   size_t built = 0;
   double last_wnorm = 0.0;
   for (size_t j = 0; j < m; ++j) {
     built = j + 1;
-    for (size_t i = 0; i < n; ++i) v[i] = q(i, j);
+    std::copy(q.RowPtr(j), q.RowPtr(j) + n, v.begin());
     op.Apply(v, w);
     if (j > 0) {
-      for (size_t i = 0; i < n; ++i) w[i] -= beta[j - 1] * q(i, j - 1);
+      const double* prev = q.RowPtr(j - 1);
+      for (size_t i = 0; i < n; ++i) w[i] -= beta[j - 1] * prev[i];
     }
     double aj = 0.0;
     for (size_t i = 0; i < n; ++i) aj += w[i] * v[i];
     alpha[j] = aj;
     for (size_t i = 0; i < n; ++i) w[i] -= aj * v[i];
 
-    // Full reorthogonalization against the basis built so far (twice, for
-    // numerical robustness — "twice is enough").
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t k = 0; k <= j; ++k) {
-        double proj = 0.0;
-        for (size_t i = 0; i < n; ++i) proj += w[i] * q(i, k);
-        for (size_t i = 0; i < n; ++i) w[i] -= proj * q(i, k);
-      }
-    }
+    // Full reorthogonalization against the basis built so far.
+    orth_timer.Start();
+    lanczos_internal::Reorthogonalize(q, j + 1, w);
+    orth_timer.Stop();
 
     const double wnorm = Norm2(w);
     last_wnorm = wnorm;
@@ -195,22 +352,10 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
         // remaining copies of duplicate eigenvalues.
         beta[j] = 0.0;
         instruments.restarts.Add(1);
-        bool restarted = false;
-        for (int attempt = 0; attempt < 3 && !restarted; ++attempt) {
-          for (double& x : w) x = rng.Normal();
-          for (int pass = 0; pass < 2; ++pass) {
-            for (size_t k = 0; k <= j; ++k) {
-              double proj = 0.0;
-              for (size_t i = 0; i < n; ++i) proj += w[i] * q(i, k);
-              for (size_t i = 0; i < n; ++i) w[i] -= proj * q(i, k);
-            }
-          }
-          const double rnorm = Norm2(w);
-          if (rnorm > options.restart_tolerance) {
-            for (size_t i = 0; i < n; ++i) q(i, j + 1) = w[i] / rnorm;
-            restarted = true;
-          }
-        }
+        orth_timer.Start();
+        const bool restarted = lanczos_internal::RestartVector(
+            q, j + 1, w, rng, options.restart_tolerance);
+        orth_timer.Stop();
         if (!restarted) {
           // No acceptable direction remains: the basis cannot grow, so the
           // spectrum delivered below may be shorter than requested. Recorded
@@ -221,7 +366,8 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
         }
         continue;
       }
-      for (size_t i = 0; i < n; ++i) q(i, j + 1) = w[i] / wnorm;
+      double* next = q.RowPtr(j + 1);
+      for (size_t i = 0; i < n; ++i) next[i] = w[i] / wnorm;
 
       // Optional early exit: residual of Ritz pair i is |beta_j * z_last,i|,
       // so the coupling to the unexplored space bounds every pair at once.
@@ -262,17 +408,13 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
   result.truncated = exhausted && keep < effective_rank;
   result.iterations = built;
   result.eigenvalues.resize(keep);
-  result.eigenvectors = Matrix(n, keep);
+  Matrix coef(built, keep);
   for (size_t out = 0; out < keep; ++out) {
     const size_t src = built - 1 - out;  // descending order
     result.eigenvalues[out] = diag[src];
-    // Ritz vector = Q * z[:, src].
-    for (size_t i = 0; i < n; ++i) {
-      double sum = 0.0;
-      for (size_t k = 0; k < built; ++k) sum += q(i, k) * z(k, src);
-      result.eigenvectors(i, out) = sum;
-    }
+    for (size_t k = 0; k < built; ++k) coef(k, out) = z(k, src);
   }
+  result.eigenvectors = lanczos_internal::RitzVectors(q, coef);
   CanonicalizeEigenvectorSigns(result.eigenvectors);
   instruments.iterations.Add(built);
   if (obs::Enabled()) {

@@ -8,17 +8,35 @@
 // tridiagonal problem instead — typically an order of magnitude faster at
 // low rank while agreeing with Jacobi to ~1e-8 (see the kernels
 // microbenchmark and tests/lanczos_test.cc).
+//
+// Both Krylov solvers (this one and the Golub–Kahan–Lanczos SVD in
+// linalg/lanczos_svd.h) keep each basis in one steps x n buffer, one
+// Krylov vector per contiguous row, and reorthogonalize every new vector
+// with one shared kernel: classical Gram–Schmidt applied twice (CGS2),
+// which keeps the basis orthonormal to working precision like the modified
+// variant applied twice but runs as whole-basis sweeps. A step against j
+// built vectors costs three contiguous passes over that j x n block:
+// h1 = Q w, then w -= Qᵀ h1 fused with h2 = Q w, then w -= Qᵀ h2. Each
+// solve records its total reorthogonalization time in the histogram
+// lanczos.orth.seconds{solver=eig|svd} when observability is on.
 
 #ifndef IVMF_LINALG_LANCZOS_H_
 #define IVMF_LINALG_LANCZOS_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "base/stopwatch.h"
 #include "linalg/eig.h"
 #include "linalg/linear_operator.h"
 #include "linalg/matrix.h"
 
 namespace ivmf {
+
+class Rng;
+namespace obs {
+class Histogram;
+}  // namespace obs
 
 struct LanczosOptions {
   // Krylov subspace dimension as a multiple of the requested rank
@@ -80,6 +98,50 @@ namespace lanczos_internal {
 // dimension, so the caller falls back to its random cold start. Shared by
 // the eigensolver and the Golub–Kahan–Lanczos SVD.
 bool WarmStartVector(const Matrix& basis, size_t dim, std::vector<double>& v);
+
+// The reorthogonalization kernel of both solvers. The first `count` rows of
+// `basis` hold orthonormal vectors of length w.size() (one Krylov vector
+// per row); removes from `w` its components along them by classical
+// Gram–Schmidt applied twice, in three contiguous sweeps over those rows.
+void Reorthogonalize(const Matrix& basis, size_t count, std::vector<double>& w);
+
+// Writes a random unit vector orthogonal to the first `count` rows of
+// `basis` into row `count` (the invariant-subspace restart of both
+// solvers). Returns false when the space is exhausted — no drawn direction
+// survives reorthogonalization above `tolerance` — in which case the caller
+// must stop growing the basis and flag its result truncated if the
+// requested count was not reached. `scratch` has the basis' row length.
+bool RestartVector(Matrix& basis, size_t count, std::vector<double>& scratch,
+                   Rng& rng, double tolerance);
+
+// Lifts small-problem vectors to the full space (the Ritz vectors): returns
+// the basis.cols() x coef.cols() matrix whose column c combines the first
+// coef.rows() basis rows with the weights in column c of `coef`.
+Matrix RitzVectors(const Matrix& basis, const Matrix& coef);
+
+// Sums the wall time one solve spends reorthogonalizing (between Start and
+// Stop) and records it once, at destruction, into `histogram` (the
+// solver's lanczos.orth.seconds{solver=eig|svd}). Reads no clock when
+// observability is off at construction.
+class OrthTimer {
+ public:
+  explicit OrthTimer(obs::Histogram& histogram);
+  ~OrthTimer();
+  OrthTimer(const OrthTimer&) = delete;
+  OrthTimer& operator=(const OrthTimer&) = delete;
+
+  void Start() {
+    if (histogram_ != nullptr) clock_.Restart();
+  }
+  void Stop() {
+    if (histogram_ != nullptr) seconds_ += clock_.Seconds();
+  }
+
+ private:
+  obs::Histogram* histogram_;  // null when observability is off
+  Stopwatch clock_;
+  double seconds_ = 0.0;
+};
 
 }  // namespace lanczos_internal
 

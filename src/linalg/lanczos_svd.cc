@@ -16,6 +16,7 @@ struct SvdInstruments {
   obs::Counter& matvecs;
   obs::Counter& restarts;
   obs::Gauge& residual;
+  obs::Histogram& orth_seconds;
 
   static SvdInstruments& Get() {
     static SvdInstruments instruments{
@@ -23,44 +24,12 @@ struct SvdInstruments {
         obs::MetricsRegistry::Global().GetCounter("lanczos.svd.iterations"),
         obs::MetricsRegistry::Global().GetCounter("lanczos.svd.matvecs"),
         obs::MetricsRegistry::Global().GetCounter("lanczos.svd.restarts"),
-        obs::MetricsRegistry::Global().GetGauge("lanczos.svd.residual_bound")};
+        obs::MetricsRegistry::Global().GetGauge("lanczos.svd.residual_bound"),
+        obs::MetricsRegistry::Global().GetHistogram("lanczos.orth.seconds",
+                                                    {{"solver", "svd"}})};
     return instruments;
   }
 };
-
-// Removes the components of `w` along the first `count` columns of `basis`,
-// twice ("twice is enough" — the same treatment the eigensolver uses).
-void Reorthogonalize(const Matrix& basis, size_t count,
-                     std::vector<double>& w) {
-  const size_t dim = basis.rows();
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t k = 0; k < count; ++k) {
-      double proj = 0.0;
-      for (size_t i = 0; i < dim; ++i) proj += w[i] * basis(i, k);
-      for (size_t i = 0; i < dim; ++i) w[i] -= proj * basis(i, k);
-    }
-  }
-}
-
-// Writes a random unit vector orthogonal to the first `count` columns of
-// `basis` into column `count`. Returns false when the space is exhausted —
-// no drawn direction survives reorthogonalization above `tolerance` — in
-// which case the caller must stop growing the basis and flag the result
-// truncated if the requested triplet count was not reached.
-bool RestartColumn(Matrix& basis, size_t count, std::vector<double>& scratch,
-                   Rng& rng, double tolerance) {
-  const size_t dim = basis.rows();
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    for (double& x : scratch) x = rng.Normal();
-    Reorthogonalize(basis, count, scratch);
-    const double norm = Norm2(scratch);
-    if (norm > tolerance) {
-      for (size_t i = 0; i < dim; ++i) basis(i, count) = scratch[i] / norm;
-      return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -79,6 +48,7 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
     empty.v = Matrix(m, 0);
     return empty;
   }
+  lanczos_internal::OrthTimer orth_timer(instruments.orth_seconds);
   const size_t full = std::min(n, m);
   const size_t effective_rank = (rank == 0 || rank > full) ? full : rank;
 
@@ -87,8 +57,9 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
       full, static_cast<size_t>(options.subspace_factor * effective_rank) +
                 options.subspace_extra);
 
-  Matrix u(n, steps);
-  Matrix v(m, steps);
+  // Krylov bases, one vector per row: u_k is row k of `u`, v_k of `v`.
+  Matrix u(steps, n);
+  Matrix v(steps, m);
   std::vector<double> alpha(steps, 0.0), beta(steps, 0.0);
 
   Rng rng(options.seed);
@@ -103,7 +74,7 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
   // reach the full spectrum). Falls back to a random direction when A ≈ 0 —
   // every triplet is zero then anyway.
   if (lanczos_internal::WarmStartVector(options.start_basis, m, right)) {
-    for (size_t i = 0; i < m; ++i) v(i, 0) = right[i];
+    std::copy(right.begin(), right.end(), v.RowPtr(0));
   } else {
     for (double& x : left) x = rng.Normal();
     a.ApplyTranspose(left, right);
@@ -113,7 +84,7 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
       for (double& x : right) x = rng.Normal();
       start_norm = Norm2(right);
     }
-    for (size_t i = 0; i < m; ++i) v(i, 0) = right[i] / start_norm;
+    for (size_t i = 0; i < m; ++i) v(0, i) = right[i] / start_norm;
   }
 
   bool exhausted = false;
@@ -123,23 +94,31 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
     built = j + 1;
 
     // Left step: u_j = (A v_j - beta_{j-1} u_{j-1}) / alpha_j.
-    for (size_t i = 0; i < m; ++i) right[i] = v(i, j);
+    std::copy(v.RowPtr(j), v.RowPtr(j) + m, right.begin());
     a.Apply(right, left);
     instruments.matvecs.Add(1);
     if (j > 0) {
-      for (size_t i = 0; i < n; ++i) left[i] -= beta[j - 1] * u(i, j - 1);
+      const double* prev = u.RowPtr(j - 1);
+      for (size_t i = 0; i < n; ++i) left[i] -= beta[j - 1] * prev[i];
     }
-    Reorthogonalize(u, j, left);
+    orth_timer.Start();
+    lanczos_internal::Reorthogonalize(u, j, left);
+    orth_timer.Stop();
     const double anorm = Norm2(left);
     if (anorm > options.tolerance) {
       alpha[j] = anorm;
-      for (size_t i = 0; i < n; ++i) u(i, j) = left[i] / anorm;
+      double* row = u.RowPtr(j);
+      for (size_t i = 0; i < n; ++i) row[i] = left[i] / anorm;
     } else {
       // A v_j already lies in span(u_0..u_{j-1}): the left space stalled.
       // alpha_j = 0 block-decouples B; continue from a fresh direction.
       alpha[j] = 0.0;
       instruments.restarts.Add(1);
-      if (!RestartColumn(u, j, left, rng, options.restart_tolerance)) {
+      orth_timer.Start();
+      const bool restarted = lanczos_internal::RestartVector(
+          u, j, left, rng, options.restart_tolerance);
+      orth_timer.Stop();
+      if (!restarted) {
         built = j;
         exhausted = true;
         break;
@@ -147,19 +126,23 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
     }
 
     // Right step: v_{j+1} = (A^T u_j - alpha_j v_j) / beta_j.
-    for (size_t i = 0; i < n; ++i) left[i] = u(i, j);
+    std::copy(u.RowPtr(j), u.RowPtr(j) + n, left.begin());
     a.ApplyTranspose(left, right);
     instruments.matvecs.Add(1);
     if (alpha[j] != 0.0) {
-      for (size_t i = 0; i < m; ++i) right[i] -= alpha[j] * v(i, j);
+      const double* row = v.RowPtr(j);
+      for (size_t i = 0; i < m; ++i) right[i] -= alpha[j] * row[i];
     }
-    Reorthogonalize(v, j + 1, right);
+    orth_timer.Start();
+    lanczos_internal::Reorthogonalize(v, j + 1, right);
+    orth_timer.Stop();
     if (j + 1 < steps) {
       const double bnorm = Norm2(right);
       last_bnorm = bnorm;
       if (bnorm > options.tolerance) {
         beta[j] = bnorm;
-        for (size_t i = 0; i < m; ++i) v(i, j + 1) = right[i] / bnorm;
+        double* next = v.RowPtr(j + 1);
+        for (size_t i = 0; i < m; ++i) next[i] = right[i] / bnorm;
 
         // Optional early exit, mirroring the eigensolver: the residual of
         // Ritz triplet i is |beta_j * p_last,i| with p_i the left singular
@@ -195,8 +178,11 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
         // reach the rest of a degenerate cluster.
         beta[j] = 0.0;
         instruments.restarts.Add(1);
-        if (!RestartColumn(v, j + 1, right, rng,
-                           options.restart_tolerance)) {
+        orth_timer.Start();
+        const bool restarted = lanczos_internal::RestartVector(
+            v, j + 1, right, rng, options.restart_tolerance);
+        orth_timer.Stop();
+        if (!restarted) {
           exhausted = true;
           break;
         }
@@ -220,22 +206,8 @@ SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
   result.iterations = built;
   result.sigma.assign(small.sigma.begin(),
                       small.sigma.begin() + static_cast<ptrdiff_t>(keep));
-  result.u = Matrix(n, keep);
-  result.v = Matrix(m, keep);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < keep; ++c) {
-      double sum = 0.0;
-      for (size_t k = 0; k < built; ++k) sum += u(i, k) * small.u(k, c);
-      result.u(i, c) = sum;
-    }
-  }
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t c = 0; c < keep; ++c) {
-      double sum = 0.0;
-      for (size_t k = 0; k < built; ++k) sum += v(i, k) * small.v(k, c);
-      result.v(i, c) = sum;
-    }
-  }
+  result.u = lanczos_internal::RitzVectors(u, small.u.ColBlock(0, keep));
+  result.v = lanczos_internal::RitzVectors(v, small.v.ColBlock(0, keep));
   CanonicalizeSingularVectorSigns(result.u, result.v);
   instruments.iterations.Add(built);
   if (obs::Enabled()) {

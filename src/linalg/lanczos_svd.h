@@ -11,6 +11,13 @@
 // materializes an endpoint matrix — each step costs two O(nnz) operator
 // applications.
 //
+// Each basis is one steps x n (resp. steps x m) buffer holding one Krylov
+// vector per contiguous row. Every new vector is reorthogonalized by the
+// eigensolver's shared CGS2 kernel (linalg/lanczos.h): three contiguous
+// sweeps over the j vectors built so far, h1 = Q w, then w -= Qᵀ h1 fused
+// with h2 = Q w, then w -= Qᵀ h2. On tall operators that cost — about
+// 3·j·n reads per left step — dominates the two O(nnz) applies.
+//
 // Breakdown handling mirrors the symmetric Lanczos eigensolver
 // (linalg/lanczos.h): when a new basis vector vanishes (rank-deficient
 // operators — e.g. the all-zero lower endpoint of [0, x] interval data, or

@@ -1,5 +1,6 @@
 #include "serve/serving_engine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
@@ -36,7 +37,9 @@ ServingEngine::ServingEngine(int strategy, size_t rank,
                              SparseIntervalMatrix base,
                              ServingEngineOptions options)
     : options_(std::move(options)),
-      streaming_(strategy, rank, std::move(base), options_.streaming) {
+      streaming_(strategy, rank, std::move(base), options_.streaming),
+      rows_(streaming_.matrix().rows()),
+      cols_(streaming_.matrix().cols()) {
   PublishCurrent();  // epoch 1: the construction-time cold decomposition
 }
 
@@ -56,8 +59,22 @@ void ServingEngine::PublishCurrent() {
   if (options_.on_publish) options_.on_publish(snapshot);
 }
 
-void ServingEngine::Submit(std::vector<IntervalTriplet> batch) {
-  if (batch.empty()) return;
+size_t ServingEngine::Submit(std::vector<IntervalTriplet> batch) {
+  // remove_if keeps the accepted cells in submission order, which
+  // last-write-wins depends on.
+  const auto rejected =
+      std::remove_if(batch.begin(), batch.end(), [&](const IntervalTriplet& t) {
+        const TripletDefect defect = ValidateTriplet(t, rows_, cols_);
+        if (defect == TripletDefect::kNone) return false;
+        obs::MetricsRegistry::Global()
+            .GetCounter("serving.rejected_cells",
+                        {{"reason", TripletDefectName(defect)}})
+            .Add(1);
+        return true;
+      });
+  batch.erase(rejected, batch.end());
+  const size_t accepted = batch.size();
+  if (accepted == 0) return 0;
   size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -67,6 +84,7 @@ void ServingEngine::Submit(std::vector<IntervalTriplet> batch) {
   }
   EngineInstruments::Get().queue_cells.Set(static_cast<double>(depth));
   cv_.notify_one();
+  return accepted;
 }
 
 size_t ServingEngine::pending_cells() const {

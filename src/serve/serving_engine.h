@@ -73,7 +73,11 @@ class ServingEngine {
 
   // Enqueues arriving / revised cells (last-write-wins per cell, applied in
   // submission order). Wakes the background writer when one is running.
-  void Submit(std::vector<IntervalTriplet> batch);
+  // Cells that fail ValidateTriplet against the served shape (out of shape,
+  // a non-finite endpoint, lo > hi) are dropped here, before they can
+  // abort or poison a refresh, and counted in
+  // serving.rejected_cells{reason}. Returns the number of cells accepted.
+  size_t Submit(std::vector<IntervalTriplet> batch);
 
   // Cells submitted but not yet applied by a refresh.
   size_t pending_cells() const;
@@ -104,6 +108,8 @@ class ServingEngine {
 
   ServingEngineOptions options_;
   StreamingIsvd streaming_;  // writer-thread-only after construction
+  const size_t rows_;        // the served shape, fixed at construction
+  const size_t cols_;
   SnapshotRegistry registry_;
 
   mutable std::mutex mu_;  // guards pending_, pending_cells_, stop_, running_

@@ -121,6 +121,32 @@ void ScatterRows(size_t rows, size_t cols, std::vector<double>& y,
 
 }  // namespace
 
+TripletDefect ValidateTriplet(const IntervalTriplet& triplet, size_t rows,
+                              size_t cols) {
+  if (triplet.row >= rows || triplet.col >= cols) {
+    return TripletDefect::kOutOfShape;
+  }
+  if (!std::isfinite(triplet.value.lo) || !std::isfinite(triplet.value.hi)) {
+    return TripletDefect::kNonFinite;
+  }
+  if (triplet.value.lo > triplet.value.hi) return TripletDefect::kInverted;
+  return TripletDefect::kNone;
+}
+
+const char* TripletDefectName(TripletDefect defect) {
+  switch (defect) {
+    case TripletDefect::kNone:
+      return "none";
+    case TripletDefect::kOutOfShape:
+      return "out_of_shape";
+    case TripletDefect::kNonFinite:
+      return "non_finite";
+    case TripletDefect::kInverted:
+      return "inverted";
+  }
+  return "unknown";
+}
+
 SparseIntervalMatrix SparseIntervalMatrix::FromTriplets(
     size_t rows, size_t cols, std::vector<IntervalTriplet> triplets,
     DuplicatePolicy duplicates) {

@@ -33,6 +33,19 @@ struct IntervalTriplet {
   Interval value;
 };
 
+// Why a triplet cannot enter a rows x cols interval matrix.
+enum class TripletDefect { kNone, kOutOfShape, kNonFinite, kInverted };
+
+// Checks one cell arriving at a trust boundary: inside the rows x cols
+// shape, both endpoints finite, lo <= hi. Returns the first defect found
+// in that order, or kNone.
+TripletDefect ValidateTriplet(const IntervalTriplet& triplet, size_t rows,
+                              size_t cols);
+
+// The metric tag of a defect: "none", "out_of_shape", "non_finite" or
+// "inverted".
+const char* TripletDefectName(TripletDefect defect);
+
 // What to do when two triplets name the same (row, col) cell.
 //
 // The library-wide convention (decided with the streaming subsystem, which

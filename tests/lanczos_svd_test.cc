@@ -7,10 +7,12 @@
 #include "linalg/lanczos_svd.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include "base/rng.h"
 #include "linalg/svd.h"
+#include "obs/metrics.h"
 #include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "test_util.h"
@@ -115,6 +117,96 @@ TEST(LanczosSvdTest, DuplicateSingularValuesReconstructExactly) {
   for (size_t j = 0; j < 10; ++j)
     EXPECT_NEAR(gkl.sigma[j], jacobi.sigma[j], 1e-9);
   EXPECT_LT(MaxAbsDiff(gkl.Reconstruct(), block), 1e-8);
+}
+
+// A tall matrix (rows = 25 x cols) with a geometrically decaying spectrum:
+// the shape where the left basis is long and its reorthogonalization
+// dominates the solve.
+Matrix TallDecayingMatrix(size_t rows, size_t cols, Rng& rng) {
+  Matrix a = RandomMatrix(rows, cols, rng);
+  double scale = 1.0;
+  for (size_t j = 0; j < cols; ++j, scale *= 0.8) {
+    for (size_t i = 0; i < rows; ++i) a(i, j) *= scale;
+  }
+  return a;
+}
+
+TEST(LanczosSvdTest, TallMatrixKeepsBasesOrthonormalAndMatchesJacobi) {
+  Rng rng(18);
+  const Matrix a = TallDecayingMatrix(2000, 80, rng);
+  const SvdResult gkl = ComputeLanczosSvd(a, 10);
+  const SvdResult jacobi = ComputeSvd(a, 10);
+  ASSERT_EQ(gkl.sigma.size(), 10u);
+  EXPECT_FALSE(gkl.truncated);
+  EXPECT_LE(OrthonormalityError(gkl.u), 1e-10);
+  EXPECT_LE(OrthonormalityError(gkl.v), 1e-10);
+  for (size_t j = 0; j < 10; ++j) {
+    EXPECT_LE(std::abs(gkl.sigma[j] - jacobi.sigma[j]), 1e-10 * jacobi.sigma[j])
+        << "sigma " << j;
+  }
+}
+
+TEST(LanczosSvdTest, TallRankDeficientMatrixRestartsBothBases) {
+  // Exactly rank 4 and tall, asked for 10 triplets. Once v_0..v_3 span the
+  // row space the right step breaks down (beta = 0) and restarts v with a
+  // direction A maps to zero, so the next left step breaks down too
+  // (alpha = 0) and restarts u; the pattern repeats to the subspace cap.
+  Rng rng(19);
+  const Matrix a = RandomMatrix(600, 4, rng) * RandomMatrix(4, 24, rng);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t restarts_before =
+      registry.Snapshot().CounterValue("lanczos.svd.restarts");
+  const SvdResult gkl = ComputeLanczosSvd(a, 10);
+  const uint64_t restarts =
+      registry.Snapshot().CounterValue("lanczos.svd.restarts") -
+      restarts_before;
+  const SvdResult jacobi = ComputeSvd(a, 4);
+  ASSERT_EQ(gkl.sigma.size(), 10u);
+  EXPECT_FALSE(gkl.truncated);
+  if (obs::Enabled()) {
+    EXPECT_GE(restarts, 2u);
+  }
+  for (size_t j = 0; j < 4; ++j) {
+    EXPECT_LE(std::abs(gkl.sigma[j] - jacobi.sigma[j]),
+              1e-10 * jacobi.sigma[0]);
+  }
+  for (size_t j = 4; j < 10; ++j) {
+    EXPECT_LE(gkl.sigma[j], 1e-10 * jacobi.sigma[0]);
+  }
+  EXPECT_LE(OrthonormalityError(gkl.u.ColBlock(0, 4)), 1e-10);
+  EXPECT_LE(OrthonormalityError(gkl.v), 1e-10);
+}
+
+TEST(LanczosSvdTest, RepeatedSolvesAreBitIdentical) {
+  Rng rng(20);
+  const Matrix a = TallDecayingMatrix(1000, 40, rng);
+  const SvdResult first = ComputeLanczosSvd(a, 10);
+  const SvdResult second = ComputeLanczosSvd(a, 10);
+  EXPECT_EQ(first.sigma, second.sigma);
+  EXPECT_TRUE(first.u == second.u);
+  EXPECT_TRUE(first.v == second.v);
+}
+
+TEST(LanczosSvdTest, OrthogonalizationTimeRecordedOncePerSolveWhenEnabled) {
+  Rng rng(21);
+  const Matrix a = RandomMatrix(60, 20, rng);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto solves = [&registry] {
+    return registry.Snapshot()
+        .histograms["lanczos.orth.seconds{solver=svd}"]
+        .count;
+  };
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const uint64_t before = solves();
+  ComputeLanczosSvd(a, 5);
+  EXPECT_EQ(solves(), before + 1);
+  // Off (as under IVMF_OBS=off): the histogram is left untouched.
+  obs::SetEnabled(false);
+  ComputeLanczosSvd(a, 5);
+  obs::SetEnabled(true);
+  EXPECT_EQ(solves(), before + 1);
+  obs::SetEnabled(was_enabled);
 }
 
 TEST(LanczosSvdTest, SparseEndpointMapMatchesDenseOperator) {

@@ -1,10 +1,14 @@
 #include "linalg/lanczos.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include "base/rng.h"
 #include "linalg/svd.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace ivmf {
@@ -289,6 +293,167 @@ TEST(LanczosTest, ConvergenceExitMatchesFullCapRun) {
     EXPECT_NEAR(exited.eigenvalues[j], cap.eigenvalues[j],
                 1e-8 * (std::abs(cap.eigenvalues[0]) + 1.0));
   }
+}
+
+// -- The shared reorthogonalization kernel -----------------------------------
+
+// Reference: modified Gram–Schmidt applied twice, one basis row at a time —
+// the loop both solvers ran before the CGS2 kernel.
+void ReorthogonalizeMgs2(const Matrix& basis, size_t count,
+                         std::vector<double>& w) {
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t k = 0; k < count; ++k) {
+      double proj = 0.0;
+      for (size_t i = 0; i < w.size(); ++i) proj += w[i] * basis(k, i);
+      for (size_t i = 0; i < w.size(); ++i) w[i] -= proj * basis(k, i);
+    }
+  }
+}
+
+// `count` orthonormal rows of length `dim` (MGS2 on random draws).
+Matrix OrthonormalRows(size_t count, size_t dim, Rng& rng) {
+  Matrix q(count, dim);
+  std::vector<double> row(dim);
+  for (size_t k = 0; k < count; ++k) {
+    for (double& x : row) x = rng.Normal();
+    ReorthogonalizeMgs2(q, k, row);
+    const double norm = Norm2(row);
+    for (size_t i = 0; i < dim; ++i) q(k, i) = row[i] / norm;
+  }
+  return q;
+}
+
+// max_k |q_k · w|.
+double MaxProjection(const Matrix& q, size_t count,
+                     const std::vector<double>& w) {
+  double worst = 0.0;
+  for (size_t k = 0; k < count; ++k) {
+    double proj = 0.0;
+    for (size_t i = 0; i < w.size(); ++i) proj += q(k, i) * w[i];
+    worst = std::max(worst, std::abs(proj));
+  }
+  return worst;
+}
+
+TEST(ReorthogonalizeTest, NearlyDependentVectorMatchesMgs2Reference) {
+  // w = Qᵀc + 1e-10 noise lies almost inside the basis span: the case where
+  // one Gram–Schmidt pass leaves a residue far above working precision
+  // relative to what survives. Sizes are off the kernel's 4-row groups and
+  // 512-coordinate blocks so every tail path runs.
+  Rng rng(401);
+  const size_t dim = 3001, count = 37;
+  const Matrix q = OrthonormalRows(count + 1, dim, rng);
+  std::vector<double> w(dim, 0.0);
+  for (size_t k = 0; k < count; ++k) {
+    const double c = rng.Normal();
+    for (size_t i = 0; i < dim; ++i) w[i] += c * q(k, i);
+  }
+  for (double& x : w) x += 1e-10 * rng.Normal();
+  std::vector<double> reference = w;
+  const double input_norm = Norm2(w);
+
+  lanczos_internal::Reorthogonalize(q, count, w);
+  ReorthogonalizeMgs2(q, count, reference);
+
+  // Orthogonal to working precision relative to what survives (~5e-9),
+  // after one call; a single classical pass misses this by ~1e8.
+  EXPECT_LE(MaxProjection(q, count, w), 1e-14 * Norm2(w));
+  EXPECT_LE(MaxProjection(q, count, reference), 1e-14 * Norm2(reference));
+  // The two survivors agree up to the rounding of cancelling a vector of
+  // norm |w_in|.
+  double diff = 0.0;
+  for (size_t i = 0; i < dim; ++i) {
+    diff = std::max(diff, std::abs(w[i] - reference[i]));
+  }
+  EXPECT_LE(diff, 1e-14 * input_norm);
+  // Rows past `count` are not touched: the kernel reads only its prefix.
+  EXPECT_GT(MaxProjection(q, count + 1, w), 0.0);
+}
+
+TEST(ReorthogonalizeTest, EmptyBasisLeavesVectorUnchanged) {
+  const Matrix q(3, 10);
+  std::vector<double> w(10, 1.5);
+  lanczos_internal::Reorthogonalize(q, 0, w);
+  EXPECT_EQ(w, std::vector<double>(10, 1.5));
+}
+
+// -- Large clustered eigensolve ----------------------------------------------
+
+// diag(values) as a matrix-free operator.
+class DiagonalOperator final : public LinearOperator {
+ public:
+  explicit DiagonalOperator(std::vector<double> values)
+      : values_(std::move(values)) {}
+  size_t Dim() const override { return values_.size(); }
+  void Apply(const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    y.resize(x.size());
+    for (size_t i = 0; i < x.size(); ++i) y[i] = values_[i] * x[i];
+  }
+
+ private:
+  std::vector<double> values_;
+};
+
+TEST(LanczosTest, LargeClusteredSpectrumStaysOrthonormal) {
+  // Dimension 2400: eight eigenvalues clustered 1e-3 apart at 10, hidden
+  // among a bulk in [0, 1]. The cluster must come out resolved, in order,
+  // with orthonormal Ritz vectors that satisfy A x = λ x.
+  Rng rng(402);
+  const size_t n = 2400, rank = 8;
+  std::vector<double> values(n);
+  for (double& v : values) v = rng.Uniform(0.0, 1.0);
+  for (size_t k = 0; k < rank; ++k) values[(k * 293) % n] = 10.0 + 1e-3 * k;
+  const DiagonalOperator op(values);
+  const EigResult result = ComputeLanczosEig(op, rank);
+  ASSERT_EQ(result.eigenvalues.size(), rank);
+  EXPECT_FALSE(result.truncated);
+  EXPECT_LE(OrthonormalityError(result.eigenvectors), 1e-10);
+  for (size_t k = 0; k < rank; ++k) {
+    const double expected = 10.0 + 1e-3 * static_cast<double>(rank - 1 - k);
+    EXPECT_NEAR(result.eigenvalues[k], expected, 1e-10 * expected);
+    double residual = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double r = (values[i] - result.eigenvalues[k]) *
+                       result.eigenvectors(i, k);
+      residual += r * r;
+    }
+    EXPECT_LE(std::sqrt(residual), 1e-8 * expected);
+  }
+}
+
+TEST(LanczosTest, RepeatedLargeSolvesAreBitIdentical) {
+  Rng rng(403);
+  std::vector<double> values(2000);
+  for (double& v : values) v = rng.Uniform(0.0, 5.0);
+  const DiagonalOperator op(values);
+  const EigResult first = ComputeLanczosEig(op, 6);
+  const EigResult second = ComputeLanczosEig(op, 6);
+  EXPECT_EQ(first.eigenvalues, second.eigenvalues);
+  EXPECT_TRUE(first.eigenvectors == second.eigenvectors);
+}
+
+TEST(LanczosTest, OrthogonalizationTimeRecordedOncePerSolveWhenEnabled) {
+  Rng rng(404);
+  const Matrix a = RandomSymmetric(40, rng);
+  const DenseSymmetricOperator op(a);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto solves = [&registry] {
+    return registry.Snapshot()
+        .histograms["lanczos.orth.seconds{solver=eig}"]
+        .count;
+  };
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const uint64_t before = solves();
+  ComputeLanczosEig(op, 4);
+  EXPECT_EQ(solves(), before + 1);
+  // Off (as under IVMF_OBS=off): the histogram is left untouched.
+  obs::SetEnabled(false);
+  ComputeLanczosEig(op, 4);
+  obs::SetEnabled(true);
+  EXPECT_EQ(solves(), before + 1);
+  obs::SetEnabled(was_enabled);
 }
 
 }  // namespace

@@ -2,18 +2,24 @@
 // Reconstruct for every strategy x target, TopK must match a brute-force
 // ranking, the registry must hand out the latest epoch, the engine's
 // drain/refresh/publish step must produce snapshots consistent with a
-// from-scratch decomposition of the published matrix, and the sparse
-// frozen-view handoff must cache until the next mutation.
+// from-scratch decomposition of the published matrix, Submit must drop
+// out-of-shape, non-finite and inverted cells before they reach the
+// writer, and the sparse frozen-view handoff must cache until the next
+// mutation.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "base/rng.h"
 #include "core/sparse_isvd.h"
+#include "obs/metrics.h"
 #include "serve/serving_engine.h"
 #include "serve/snapshot_registry.h"
 #include "serve/serving_snapshot.h"
@@ -339,6 +345,79 @@ TEST(ServingEngineTest, BackgroundWriterPublishesSubmittedWork) {
   EXPECT_GE(snapshot->epoch(), 2u);
   EXPECT_EQ(snapshot->Observed(3, 3), Interval(4.0, 4.5));
   EXPECT_EQ(engine.pending_cells(), 0u);
+}
+
+// Regression guards for the three bad cells Submit used to accept: each is
+// dropped at the door, counted under its reason, and leaves the engine
+// serving finite factors from the previous matrix.
+uint64_t RejectedCells(const char* reason) {
+  return obs::MetricsRegistry::Global().Snapshot().CounterValue(
+      std::string("serving.rejected_cells{reason=") + reason + "}");
+}
+
+bool AllSigmaFinite(const ServingSnapshot& snapshot) {
+  for (const Interval& s : snapshot.result().sigma) {
+    if (!std::isfinite(s.lo) || !std::isfinite(s.hi)) return false;
+  }
+  return true;
+}
+
+TEST(ServingEngineTest, SubmitRejectsNonFiniteCell) {
+  // A NaN cell used to reach the Lanczos solve and abort the process with
+  // "tridiagonal QL failed".
+  Rng rng(24);
+  const CellMap cells = RandomBaseCells(10, 8, 2, 0.5, rng);
+  ServingEngine engine(
+      2, 2, SparseIntervalMatrix::FromTriplets(10, 8, ToTriplets(cells)));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const uint64_t before = RejectedCells("non_finite");
+  EXPECT_EQ(engine.Submit({{3, 7, Interval(nan, nan)}}), 0u);
+  EXPECT_EQ(engine.Submit({{3, 7, Interval(1.0, inf)},
+                           {4, 4, Interval(2.0, 2.5)}}),
+            1u);
+  EXPECT_EQ(RejectedCells("non_finite") - before, 2u);
+  EXPECT_EQ(engine.pending_cells(), 1u);
+  EXPECT_EQ(engine.Step(), 1u);
+  const auto snapshot = engine.Acquire();
+  EXPECT_EQ(snapshot->epoch(), 2u);
+  EXPECT_EQ(snapshot->Observed(4, 4), Interval(2.0, 2.5));
+  EXPECT_TRUE(AllSigmaFinite(*snapshot));
+}
+
+TEST(ServingEngineTest, SubmitRejectsInvertedInterval) {
+  // [4, 2] used to be applied and served, leaving an improper matrix.
+  Rng rng(25);
+  const CellMap cells = RandomBaseCells(10, 8, 2, 0.5, rng);
+  ServingEngine engine(
+      2, 2, SparseIntervalMatrix::FromTriplets(10, 8, ToTriplets(cells)));
+  const Interval original = engine.Acquire()->Observed(3, 5);
+  const uint64_t before = RejectedCells("inverted");
+  EXPECT_EQ(engine.Submit({{3, 5, Interval(4.0, 2.0)}}), 0u);
+  EXPECT_EQ(RejectedCells("inverted") - before, 1u);
+  EXPECT_EQ(engine.Step(), 0u);
+  const auto snapshot = engine.Acquire();
+  EXPECT_EQ(snapshot->epoch(), 1u);
+  EXPECT_EQ(snapshot->Observed(3, 5), original);
+}
+
+TEST(ServingEngineTest, SubmitRejectsOutOfShapeCell) {
+  // An out-of-shape cell used to hit the IVMF_CHECK in
+  // DynamicSparseIntervalMatrix::Upsert on the writer.
+  Rng rng(26);
+  const CellMap cells = RandomBaseCells(10, 8, 2, 0.5, rng);
+  ServingEngine engine(
+      2, 2, SparseIntervalMatrix::FromTriplets(10, 8, ToTriplets(cells)));
+  const uint64_t before = RejectedCells("out_of_shape");
+  EXPECT_EQ(engine.Submit({{10, 0, Interval(1.0, 1.5)},
+                           {0, 8, Interval(1.0, 1.5)},
+                           {9, 7, Interval(1.0, 1.5)}}),
+            1u);
+  EXPECT_EQ(RejectedCells("out_of_shape") - before, 2u);
+  EXPECT_EQ(engine.Step(), 1u);
+  const auto snapshot = engine.Acquire();
+  EXPECT_EQ(snapshot->Observed(9, 7), Interval(1.0, 1.5));
+  EXPECT_TRUE(AllSigmaFinite(*snapshot));
 }
 
 // ---------------------------------------------------------------------------
