@@ -1,9 +1,9 @@
 // Google-benchmark microbenchmarks for the computational kernels under the
 // ISVD pipeline: scalar/interval matrix products, sparse CSR matvec
 // variants (with the obs matvec/nnz counters surfaced per iteration), a
-// cold Golub–Kahan–Lanczos SVD of a tall sparse map, one-sided Jacobi SVD,
-// symmetric Jacobi eigendecomposition, Hungarian assignment, ILSA, and a
-// full ISVD4-b decomposition.
+// cold Golub–Kahan–Lanczos SVD of a tall and of a wide sparse map,
+// one-sided Jacobi SVD, symmetric Jacobi eigendecomposition, Hungarian
+// assignment, ILSA, and a full ISVD4-b decomposition.
 //
 // Like the fig10 benches, accepts --json[=PATH] (default
 // BENCH_microbench_kernels.json) and emits one flat record per benchmark
@@ -268,19 +268,22 @@ BENCHMARK(BM_SparseGramApplyScalar)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplySell)->Arg(2000)->Arg(8000)->Arg(20000);
 
 // One cold rank-10 Golub–Kahan–Lanczos SVD (the ISVD0/ISVD1 solve) of the
-// upper endpoint of a tall, short-row CF matrix: 20 users per item and ~8
-// ratings per user, the serve_ingest regime where reorthogonalizing the
-// left basis, not the matvecs, dominates the solve. Arg = items.
-void BM_LanczosSvdTall(benchmark::State& state) {
+// upper endpoint of a short-row CF matrix: 20 users per item and ~8
+// ratings per user, the serve_ingest regime. The users x items orientation
+// (Tall) makes the left basis the long one, items x users (Wide) the right
+// one; either way only the short basis is swept every step. Arg = items.
+void RunLanczosSvd(benchmark::State& state, bool tall) {
   RatingsConfig config;
   config.num_items = static_cast<size_t>(state.range(0));
   config.num_users = 20 * config.num_items;
   config.fill = 8.0 / static_cast<double>(config.num_items);
   config.seed = 404;
-  const SparseIntervalMatrix m =
+  const SparseIntervalMatrix users_items =
       SparseCfIntervalMatrix(GenerateSparseRatings(config), 0.3);
-  const SparseIntervalMatrix mt = m.Transpose();
-  const SparseEndpointMap map(m, mt, SparseEndpointMap::Part::kUpper);
+  const SparseIntervalMatrix items_users = users_items.Transpose();
+  const SparseEndpointMap map(tall ? users_items : items_users,
+                              tall ? items_users : users_items,
+                              SparseEndpointMap::Part::kUpper);
   size_t steps = 0;
   for (auto _ : state) {
     const SvdResult svd = ComputeLanczosSvd(map, 10);
@@ -291,7 +294,12 @@ void BM_LanczosSvdTall(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(steps));
 }
+void BM_LanczosSvdTall(benchmark::State& state) { RunLanczosSvd(state, true); }
+void BM_LanczosSvdWide(benchmark::State& state) {
+  RunLanczosSvd(state, false);
+}
 BENCHMARK(BM_LanczosSvdTall)->Arg(2000);
+BENCHMARK(BM_LanczosSvdWide)->Arg(2000);
 
 // -- Differential self-check (--check) ---------------------------------------
 //

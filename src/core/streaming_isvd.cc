@@ -53,8 +53,18 @@ StreamingIsvd::StreamingIsvd(int strategy, size_t rank,
   Refresh();  // initial cold decomposition
 }
 
-void StreamingIsvd::ApplyBatch(const std::vector<IntervalTriplet>& batch) {
+size_t StreamingIsvd::ApplyBatch(const std::vector<IntervalTriplet>& batch) {
+  size_t accepted = 0;
   for (const IntervalTriplet& t : batch) {
+    const TripletDefect defect =
+        ValidateTriplet(t, matrix_.rows(), matrix_.cols());
+    if (defect != TripletDefect::kNone) {
+      obs::MetricsRegistry::Global()
+          .GetCounter("streaming.rejected_cells",
+                      {{"reason", TripletDefectName(defect)}})
+          .Add(1);
+      continue;
+    }
     const Interval previous = matrix_.Upsert(t.row, t.col, t.value);
     const double d_lo = t.value.lo - previous.lo;
     const double d_hi = t.value.hi - previous.hi;
@@ -63,8 +73,10 @@ void StreamingIsvd::ApplyBatch(const std::vector<IntervalTriplet>& batch) {
     // the spectrum (Weyl: |σ_i(M + ΔM) - σ_i(M)| <= ||ΔM||₂ <= ||ΔM||_F).
     drift_sq_ += 0.5 * (d_lo * d_lo + d_hi * d_hi);
     ++cells_since_refresh_;
+    ++accepted;
   }
   matrix_.MaybeCompact(options_.compact_threshold);
+  return accepted;
 }
 
 bool StreamingIsvd::WarmEligible() const {

@@ -105,8 +105,12 @@ class StreamingIsvd {
   // Applies a batch of arriving / revised ratings to the delta log
   // (last-write-wins per cell) and compacts when past the threshold. Does
   // not refresh the decomposition — call Refresh() when the consumer needs
-  // current factors, typically once per batch or on a period.
-  void ApplyBatch(const std::vector<IntervalTriplet>& batch);
+  // current factors, typically once per batch or on a period. Cells that
+  // fail ValidateTriplet against the matrix shape (out of shape, a
+  // non-finite endpoint, lo > hi) are dropped before they can abort or
+  // poison a refresh, and counted in streaming.rejected_cells{reason}.
+  // Returns the number of cells applied.
+  size_t ApplyBatch(const std::vector<IntervalTriplet>& batch);
 
   // Re-decomposes the current matrix — warm-started and early-exiting when
   // the accumulated change is within bounds, cold otherwise — and returns

@@ -1,7 +1,6 @@
 #include "io/triplets.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -84,11 +83,13 @@ std::optional<SparseIntervalMatrix> SparseIntervalMatrixFromTriplets(
     if (!(entry >> i >> j >> lo >> hi)) return std::nullopt;
     std::string rest;
     if (entry >> rest) return std::nullopt;  // trailing tokens
-    if (i < 1 || i > rows || j < 1 || j > cols) return std::nullopt;
-    if (!std::isfinite(lo) || !std::isfinite(hi)) return std::nullopt;
-    if (lo > hi) return std::nullopt;
+    // 1-based in the file; index 0 wraps to SIZE_MAX, out of shape.
+    const IntervalTriplet triplet{i - 1, j - 1, Interval(lo, hi)};
+    if (ValidateTriplet(triplet, rows, cols) != TripletDefect::kNone) {
+      return std::nullopt;
+    }
     if (triplets.size() == nnz) return std::nullopt;  // more entries than declared
-    triplets.push_back({i - 1, j - 1, Interval(lo, hi)});
+    triplets.push_back(triplet);
   }
   if (triplets.size() != nnz) return std::nullopt;
   SparseIntervalMatrix m =

@@ -11,14 +11,16 @@
 //
 // Both Krylov solvers (this one and the Golub–Kahan–Lanczos SVD in
 // linalg/lanczos_svd.h) keep each basis in one steps x n buffer, one
-// Krylov vector per contiguous row, and reorthogonalize every new vector
-// with one shared kernel: classical Gram–Schmidt applied twice (CGS2),
-// which keeps the basis orthonormal to working precision like the modified
-// variant applied twice but runs as whole-basis sweeps. A step against j
-// built vectors costs three contiguous passes over that j x n block:
-// h1 = Q w, then w -= Qᵀ h1 fused with h2 = Q w, then w -= Qᵀ h2. Each
-// solve records its total reorthogonalization time in the histogram
-// lanczos.orth.seconds{solver=eig|svd} when observability is on.
+// Krylov vector per contiguous row, and reorthogonalize with one shared
+// kernel: classical Gram–Schmidt applied twice (CGS2), which keeps the
+// basis orthonormal to working precision like the modified variant applied
+// twice but runs as whole-basis sweeps. This solver sweeps every new
+// vector; the SVD sweeps every vector of its short basis and a vector of
+// its long basis only when an ω bound on that basis' drift calls for it. A
+// sweep against j built vectors costs three contiguous passes over that
+// j x n block: h1 = Q w, then w -= Qᵀ h1 fused with h2 = Q w, then
+// w -= Qᵀ h2. Each solve records its total reorthogonalization time in the
+// histogram lanczos.orth.seconds{solver=eig|svd} when observability is on.
 
 #ifndef IVMF_LINALG_LANCZOS_H_
 #define IVMF_LINALG_LANCZOS_H_

@@ -1,4 +1,4 @@
-// Truncated SVD via Golub–Kahan–Lanczos bidiagonalization with full
+// Truncated SVD via Golub–Kahan–Lanczos bidiagonalization with one-sided
 // reorthogonalization.
 //
 // ISVD0 and ISVD1 need the top-r singular triplets of the endpoint (or
@@ -12,11 +12,23 @@
 // applications.
 //
 // Each basis is one steps x n (resp. steps x m) buffer holding one Krylov
-// vector per contiguous row. Every new vector is reorthogonalized by the
-// eigensolver's shared CGS2 kernel (linalg/lanczos.h): three contiguous
-// sweeps over the j vectors built so far, h1 = Q w, then w -= Qᵀ h1 fused
-// with h2 = Q w, then w -= Qᵀ h2. On tall operators that cost — about
-// 3·j·n reads per left step — dominates the two O(nnz) applies.
+// vector per contiguous row. Only the short basis (V when n >= m, U
+// otherwise) is reorthogonalized every step, by the eigensolver's shared
+// CGS2 kernel (linalg/lanczos.h): three contiguous sweeps over the j
+// vectors built so far. Keeping one basis orthonormal preserves the
+// singular values (Simon & Zha, SIAM J. Sci. Comput. 2000). The long basis
+// keeps only its three-term recurrence, and a scalar ω bounds its loss of
+// orthogonality (Larsen's recurrence, PROPACK 1998), updated from values
+// the step computes anyway — tall: ω_j = (β_{j-1} ω_{j-1} + ε‖A‖) / α_j,
+// wide: ω_{j+1} = (α_j ω_j + ε‖A‖) / β_j, with ‖A‖ the largest apply norm
+// seen so far. When the next ω would pass 1e-12 that vector gets the same
+// full sweep and ω restarts at ε (as on every invariant-subspace restart);
+// the sweeps are counted in lanczos.svd.long_reorth. The guard matters past
+// the numerical rank, where A v minus the recurrence is rounding noise of
+// size ε‖A‖ that would otherwise be normalized into the basis unswept. A
+// step thus costs two O(nnz) applies, about 3·j·min(n, m) reads for the
+// short sweep and a few O(max(n, m)) passes for the long vector, where
+// sweeping both bases cost about 3·j·(n + m).
 //
 // Breakdown handling mirrors the symmetric Lanczos eigensolver
 // (linalg/lanczos.h): when a new basis vector vanishes (rank-deficient

@@ -7,10 +7,12 @@
 #include "linalg/lanczos_svd.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "base/rng.h"
+#include "data/ratings.h"
 #include "linalg/svd.h"
 #include "obs/metrics.h"
 #include "sparse/sparse_gram_operator.h"
@@ -206,6 +208,177 @@ TEST(LanczosSvdTest, OrthogonalizationTimeRecordedOncePerSolveWhenEnabled) {
   ComputeLanczosSvd(a, 5);
   obs::SetEnabled(true);
   EXPECT_EQ(solves(), before + 1);
+  obs::SetEnabled(was_enabled);
+}
+
+// A rows x cols matrix with orthonormal columns: Gaussian vectors under
+// modified Gram–Schmidt applied twice.
+Matrix RandomOrthonormal(size_t rows, size_t cols, Rng& rng) {
+  Matrix q(cols, rows);  // one vector per contiguous row
+  for (size_t j = 0; j < cols; ++j) {
+    double* x = q.RowPtr(j);
+    for (size_t i = 0; i < rows; ++i) x[i] = rng.Normal();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t k = 0; k < j; ++k) {
+        const double* y = q.RowPtr(k);
+        double dot = 0.0;
+        for (size_t i = 0; i < rows; ++i) dot += y[i] * x[i];
+        for (size_t i = 0; i < rows; ++i) x[i] -= dot * y[i];
+      }
+    }
+    double norm = 0.0;
+    for (size_t i = 0; i < rows; ++i) norm += x[i] * x[i];
+    norm = std::sqrt(norm);
+    for (size_t i = 0; i < rows; ++i) x[i] /= norm;
+  }
+  return q.Transpose();
+}
+
+// A = U diag(sigma) Vᵀ with random orthonormal U (rows x k) and V
+// (cols x k), k = sigma.size(), so the singular values of A are `sigma`
+// and zeros. `core` is A projected onto the construction's k-dimensional
+// range on its shorter side (Uᵀ A when tall, A V when wide): it has the
+// same nonzero singular values as A, and the dense Jacobi SVD resolves it
+// an order of magnitude faster.
+struct SpectrumMap {
+  Matrix a;
+  Matrix core;
+};
+
+SpectrumMap MatrixWithSpectrum(size_t rows, size_t cols,
+                               const std::vector<double>& sigma, Rng& rng) {
+  const size_t k = sigma.size();
+  const Matrix u = RandomOrthonormal(rows, k, rng);
+  const Matrix v = RandomOrthonormal(cols, k, rng);
+  Matrix scaled = u;
+  for (size_t i = 0; i < rows; ++i)
+    for (size_t c = 0; c < k; ++c) scaled(i, c) *= sigma[c];
+  SpectrumMap map;
+  map.a = scaled * v.Transpose();
+  map.core = rows >= cols ? u.Transpose() * map.a : map.a * v;
+  return map;
+}
+
+// Asserts a rank-`rank` Lanczos SVD of `map.a` returns orthonormal factors
+// and the leading singular values of the dense Jacobi SVD (of map.core,
+// zero past its size) within 1e-10 σ₁. Past the numerical rank, A v minus
+// the recurrence is rounding noise of size ε‖A‖; a long Golub–Kahan basis
+// that normalizes it without a sweep (no guard) returns σ of 1e39 and
+// beyond on the rank-4 maps below, and long factors 0.76 and 3e-7 away
+// from orthonormal on the partial isometry and the full-depth decay to ε.
+void ExpectMatchesJacobi(const SpectrumMap& map, size_t rank) {
+  const SvdResult gkl = ComputeLanczosSvd(map.a, rank);
+  const SvdResult jacobi = ComputeSvd(map.core, rank);
+  ASSERT_EQ(gkl.sigma.size(), rank);
+  EXPECT_FALSE(gkl.truncated);
+  EXPECT_LE(OrthonormalityError(gkl.u), 1e-10);
+  EXPECT_LE(OrthonormalityError(gkl.v), 1e-10);
+  for (size_t j = 0; j < rank; ++j) {
+    const double want = j < jacobi.sigma.size() ? jacobi.sigma[j] : 0.0;
+    EXPECT_LE(std::abs(gkl.sigma[j] - want), 1e-10 * jacobi.sigma[0])
+        << "sigma " << j << " of " << map.a.rows() << " x " << map.a.cols();
+  }
+}
+
+TEST(LanczosSvdTest, LargeNormRankFourMapsStayOrthonormalBothOrientations) {
+  Rng rng(30);
+  for (const double norm : {1e6, 1e9}) {
+    const std::vector<double> sigma = {norm, 0.6 * norm, 0.3 * norm,
+                                       0.1 * norm};
+    ExpectMatchesJacobi(MatrixWithSpectrum(2000, 200, sigma, rng), 10);
+    ExpectMatchesJacobi(MatrixWithSpectrum(200, 2000, sigma, rng), 10);
+  }
+}
+
+TEST(LanczosSvdTest, PartialIsometryStaysOrthonormalBothOrientations) {
+  // Eight singular values of 1e6 and eight zeros, so the ten triplets
+  // asked for reach past the rank.
+  Rng rng(31);
+  const std::vector<double> sigma(8, 1e6);
+  ExpectMatchesJacobi(MatrixWithSpectrum(2000, 16, sigma, rng), 10);
+  ExpectMatchesJacobi(MatrixWithSpectrum(16, 2000, sigma, rng), 10);
+}
+
+TEST(LanczosSvdTest, GeometricDecayStaysOrthonormalBothOrientations) {
+  Rng rng(32);
+  std::vector<double> sigma(200);
+  for (size_t i = 0; i < sigma.size(); ++i) sigma[i] = std::ldexp(1.0, -int(i));
+  ExpectMatchesJacobi(MatrixWithSpectrum(2000, 200, sigma, rng), 10);
+  ExpectMatchesJacobi(MatrixWithSpectrum(200, 2000, sigma, rng), 10);
+}
+
+// σ_i falls log-linearly from 1 to ε over the whole spectrum.
+std::vector<double> DecayToEpsilon(size_t count) {
+  std::vector<double> sigma(count);
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (size_t i = 0; i < count; ++i) {
+    sigma[i] = std::pow(eps, static_cast<double>(i) / double(count - 1));
+  }
+  return sigma;
+}
+
+TEST(LanczosSvdTest, DecayToEpsilonAtHighRankStaysOrthonormal) {
+  Rng rng(33);
+  ExpectMatchesJacobi(MatrixWithSpectrum(2000, 200, DecayToEpsilon(200), rng),
+                      60);
+  ExpectMatchesJacobi(MatrixWithSpectrum(200, 2000, DecayToEpsilon(200), rng),
+                      60);
+  ExpectMatchesJacobi(MatrixWithSpectrum(3000, 300, DecayToEpsilon(300), rng),
+                      80);
+  // Full depth: the Krylov steps cover all 100 columns, down to ε.
+  ExpectMatchesJacobi(MatrixWithSpectrum(2000, 100, DecayToEpsilon(100), rng),
+                      60);
+}
+
+uint64_t LongReorthCount() {
+  return obs::MetricsRegistry::Global().Snapshot().CounterValue(
+      "lanczos.svd.long_reorth");
+}
+
+TEST(LanczosSvdTest, TallCfMapNeedsNoGuardSweeps) {
+  // The serve_ingest regime: 20 users per item, about 8 ratings per user.
+  // The long left basis keeps its recurrence alone for the whole solve; a
+  // guard that fired on every step would still pass the accuracy tests
+  // above, so this pins that the one-sided saving holds.
+  RatingsConfig config;
+  config.num_items = 400;
+  config.num_users = 20 * config.num_items;
+  config.fill = 8.0 / static_cast<double>(config.num_items);
+  config.seed = 34;
+  const SparseIntervalMatrix m =
+      SparseCfIntervalMatrix(GenerateSparseRatings(config), 0.3);
+  const SparseIntervalMatrix mt = m.Transpose();
+  const SparseEndpointMap map(m, mt, SparseEndpointMap::Part::kUpper);
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const uint64_t before = LongReorthCount();
+  const SvdResult svd = ComputeLanczosSvd(map, 10);
+  const uint64_t sweeps = LongReorthCount() - before;
+  obs::SetEnabled(was_enabled);
+  EXPECT_EQ(sweeps, 0u);
+  EXPECT_FALSE(svd.truncated);
+  EXPECT_EQ(svd.iterations, 55u);
+  EXPECT_LE(OrthonormalityError(svd.u), 1e-10);
+  EXPECT_LE(OrthonormalityError(svd.v), 1e-10);
+}
+
+TEST(LanczosSvdTest, LongBasisSweepsCountedOnlyWhenEnabled) {
+  // A rank-4 tall map asked for 10 triplets: every long step past the rank
+  // is rounding noise, so the guard sweeps it.
+  Rng rng(35);
+  const Matrix a = MatrixWithSpectrum(600, 60, {1e6, 5e5, 2e5, 1e5}, rng).a;
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const uint64_t before = LongReorthCount();
+  ComputeLanczosSvd(a, 10);
+  const uint64_t counted = LongReorthCount();
+  EXPECT_GT(counted, before);
+  // Off (as under IVMF_OBS=off): the counter is left untouched.
+  obs::SetEnabled(false);
+  ComputeLanczosSvd(a, 10);
+  obs::SetEnabled(true);
+  EXPECT_EQ(LongReorthCount(), counted);
   obs::SetEnabled(was_enabled);
 }
 

@@ -6,7 +6,9 @@
 // Krylov iterations than a cold start.
 
 #include <cmath>
+#include <limits>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "base/rng.h"
 #include "core/sparse_isvd.h"
 #include "core/streaming_isvd.h"
+#include "obs/metrics.h"
 #include "sparse/dynamic_sparse_interval_matrix.h"
 
 namespace ivmf {
@@ -324,6 +327,83 @@ TEST(StreamingIsvdTest, StartsFromEmptyMatrix) {
   streaming.Refresh();
   EXPECT_FALSE(streaming.last_stats().warm);
   EXPECT_GT(streaming.result().sigma[0].hi, 0.5);
+}
+
+// ApplyBatch is a trust boundary of its own (tools and benches feed it
+// directly, not through ServingEngine::Submit). Each probe below is one
+// bad cell followed by Refresh.
+
+uint64_t RejectedCells(const char* reason) {
+  return obs::MetricsRegistry::Global().Snapshot().CounterValue(
+      std::string("streaming.rejected_cells{reason=") + reason + "}");
+}
+
+bool AllSigmaFinite(const IsvdResult& result) {
+  for (const Interval& s : result.sigma) {
+    if (!std::isfinite(s.lo) || !std::isfinite(s.hi)) return false;
+  }
+  return true;
+}
+
+StreamingIsvd SmallStreaming(int strategy, uint64_t seed) {
+  Rng rng(seed);
+  const CellMap cells = RandomBaseCells(10, 8, 2, 0.5, rng);
+  return StreamingIsvd(strategy, 2,
+                       SparseIntervalMatrix::FromTriplets(10, 8,
+                                                          ToTriplets(cells)));
+}
+
+TEST(StreamingIsvdTest, ApplyBatchRejectsNonFiniteCell) {
+  // A NaN cell used to truncate the Krylov spectrum and abort the
+  // decomposition in core/sparse_isvd.cc.
+  StreamingIsvd streaming = SmallStreaming(1, 1001);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const uint64_t before = RejectedCells("non_finite");
+  EXPECT_EQ(streaming.ApplyBatch({{3, 7, Interval(nan, nan)}}), 0u);
+  EXPECT_EQ(streaming.ApplyBatch({{3, 7, Interval(1.0, inf)},
+                                  {4, 4, Interval(2.0, 2.5)}}),
+            1u);
+  if (obs::Enabled()) {
+    EXPECT_EQ(RejectedCells("non_finite") - before, 2u);
+  }
+  const IsvdResult& result = streaming.Refresh();
+  EXPECT_EQ(streaming.last_stats().delta_cells, 1u);
+  EXPECT_EQ(streaming.matrix().At(4, 4), Interval(2.0, 2.5));
+  EXPECT_TRUE(AllSigmaFinite(result));
+}
+
+TEST(StreamingIsvdTest, ApplyBatchRejectsOutOfShapeCell) {
+  // An out-of-shape cell used to hit the IVMF_CHECK in
+  // DynamicSparseIntervalMatrix::Upsert.
+  StreamingIsvd streaming = SmallStreaming(2, 1002);
+  const uint64_t before = RejectedCells("out_of_shape");
+  EXPECT_EQ(streaming.ApplyBatch({{10, 0, Interval(1.0, 1.5)},
+                                  {0, 8, Interval(1.0, 1.5)},
+                                  {9, 7, Interval(1.0, 1.5)}}),
+            1u);
+  if (obs::Enabled()) {
+    EXPECT_EQ(RejectedCells("out_of_shape") - before, 2u);
+  }
+  const IsvdResult& result = streaming.Refresh();
+  EXPECT_EQ(streaming.matrix().At(9, 7), Interval(1.0, 1.5));
+  EXPECT_TRUE(AllSigmaFinite(result));
+}
+
+TEST(StreamingIsvdTest, ApplyBatchRejectsInvertedInterval) {
+  // [4, 2] used to be applied and decomposed silently, leaving an improper
+  // matrix behind the served factors.
+  StreamingIsvd streaming = SmallStreaming(1, 1003);
+  const Interval original = streaming.matrix().At(3, 5);
+  const uint64_t before = RejectedCells("inverted");
+  EXPECT_EQ(streaming.ApplyBatch({{3, 5, Interval(4.0, 2.0)}}), 0u);
+  if (obs::Enabled()) {
+    EXPECT_EQ(RejectedCells("inverted") - before, 1u);
+  }
+  streaming.Refresh();
+  EXPECT_EQ(streaming.last_stats().delta_cells, 0u);
+  EXPECT_EQ(streaming.matrix().At(3, 5), original);
+  EXPECT_EQ(streaming.matrix_snapshot()->At(3, 5), original);
 }
 
 // shard_rows > 0 routes every refresh through the zero-copy sharded view.
