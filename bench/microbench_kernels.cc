@@ -236,6 +236,28 @@ void BM_SparseMultiplyTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMultiplyTranspose)->Arg(2000)->Arg(8000)->Arg(20000);
 
+// The ISVD4 recompute product V† = M†ᵀ S at rank 10: both endpoints'
+// transposed dense products scattered from the rows, then min / max.
+void BM_SparseIntervalMultiplyDenseTranspose(benchmark::State& state) {
+  const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
+  Rng rng(7);
+  Matrix b(m.rows(), 10);
+  for (size_t i = 0; i < b.rows(); ++i)
+    for (size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.Uniform(-1.0, 1.0);
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  for (auto _ : state) {
+    const IntervalMatrix v = m.IntervalMultiplyDenseTranspose(b);
+    benchmark::DoNotOptimize(v.lower().data());
+  }
+  ReportMatvecCounters(state, before);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(m.nnz()));
+}
+BENCHMARK(BM_SparseIntervalMultiplyDenseTranspose)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Arg(20000);
+
 void SparseGramApplyBench(benchmark::State& state, spk::Backend backend) {
   const SparseIntervalMatrix m =
       CfMatrix(static_cast<size_t>(state.range(0)), backend);
@@ -366,6 +388,19 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
   std::vector<double> dg(dense_got.data(),
                          dense_got.data() + dense_got.rows() * 4);
   ok &= VectorsAgree(dg, dw, (label + "/dense").c_str());
+  Matrix bt(m.rows(), 4);
+  for (size_t i = 0; i < bt.rows(); ++i)
+    for (size_t j = 0; j < bt.cols(); ++j) bt(i, j) = rng.Uniform(-1.0, 1.0);
+  const IntervalMatrix dense_t_want = scalar_t.IntervalMultiplyDense(bt);
+  const IntervalMatrix dense_t_got = m.IntervalMultiplyDenseTranspose(bt);
+  for (const bool upper : {false, true}) {
+    const Matrix& w = upper ? dense_t_want.upper() : dense_t_want.lower();
+    const Matrix& g = upper ? dense_t_got.upper() : dense_t_got.lower();
+    ok &= VectorsAgree(
+        std::vector<double>(g.data(), g.data() + g.rows() * g.cols()),
+        std::vector<double>(w.data(), w.data() + w.rows() * w.cols()),
+        (label + (upper ? "/dense_t.hi" : "/dense_t.lo")).c_str());
+  }
   for (const auto e : {kLower, kUpper}) {
     SparseGramOperator(scalar, scalar_t, e).Apply(x, want);
     SparseGramOperator(m, mt, e).Apply(x, got);

@@ -79,25 +79,26 @@ IsvdResult BuildResult(IntervalMatrix u, std::vector<Interval> sigma,
                        IntervalMatrix v, DecompositionTarget target,
                        PhaseTimings timings) {
   Stopwatch sw;
-  u = u.AverageReplaced();
-  v = v.AverageReplaced();
   AverageReplaceVector(sigma);
 
   IsvdResult result;
   result.target = target;
   if (target == DecompositionTarget::kA) {
-    result.u = std::move(u);
+    result.u = u.AverageReplaced();
     result.sigma = std::move(sigma);
-    result.v = std::move(v);
+    result.v = v.AverageReplaced();
   } else {
     // Targets b and c: average the factor endpoints, renormalize columns in
     // L2, and push the norm products into the core (Sections 3.4.2–3.4.3).
+    // The factors skip average replacement: it turns a misordered [a, b]
+    // into [m, m] with m = (a + b) / 2, whose midpoint is m exactly, so
+    // every midpoint is the same with or without it.
     Matrix u_avg = u.Mid();
     Matrix v_avg = v.Mid();
     const std::vector<double> u_norms = NormalizeColumnsL2(u_avg);
     const std::vector<double> v_norms = NormalizeColumnsL2(v_avg);
-    result.u = IntervalMatrix::FromScalar(u_avg);
-    result.v = IntervalMatrix::FromScalar(v_avg);
+    result.u = IntervalMatrix::FromScalar(std::move(u_avg));
+    result.v = IntervalMatrix::FromScalar(std::move(v_avg));
     result.sigma.resize(sigma.size());
     for (size_t j = 0; j < sigma.size(); ++j) {
       const double rho = u_norms[j] * v_norms[j];

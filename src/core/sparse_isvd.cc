@@ -1,5 +1,6 @@
 #include "core/sparse_isvd.h"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,7 +31,9 @@ using Part = SparseEndpointMap::Part;
 // CSR SparseIntervalMatrix and on the ShardedSparseIntervalMatrix.
 //
 // The CSR store honours GramSide and materializes the transpose its
-// operators read (charged to preprocess). The sharded store always
+// operators read (charged to preprocess): always for the ISVD0/ISVD1
+// endpoint maps, and for the Gram operator only on the two-pass scalar and
+// SELL backends. The sharded store always
 // eigendecomposes MᵀM (ShardedGramOperator is M_eᵀ(M_e x) by construction)
 // and never materializes a transposed store — transpose actions run as
 // shard scatter reductions — so GramSide::kMMt / kAuto collapse to kMtM.
@@ -82,6 +85,18 @@ NoTranspose OperatorTranspose(const ShardedSparseIntervalMatrix&, double*) {
   return {};
 }
 
+// The transpose the Gram operator reads: none on the fused AVX2 route,
+// which applies M_eᵀ (M_e x) in one pass over the rows of `m`.
+std::optional<SparseIntervalMatrix> GramTranspose(const SparseIntervalMatrix& m,
+                                                  double* seconds) {
+  if (!SparseGramOperator::ReadsTranspose(m)) return std::nullopt;
+  return OperatorTranspose(m, seconds);
+}
+
+NoTranspose GramTranspose(const ShardedSparseIntervalMatrix&, double*) {
+  return {};
+}
+
 SparseEndpointMap EndpointMap(const SparseIntervalMatrix& m,
                               const SparseIntervalMatrix& mt, Part part) {
   return SparseEndpointMap(m, mt, part);
@@ -93,8 +108,9 @@ ShardedEndpointMap EndpointMap(const ShardedSparseIntervalMatrix& m,
 }
 
 SparseGramOperator GramOperator(const SparseIntervalMatrix& m,
-                                const SparseIntervalMatrix& mt, Endpoint e) {
-  return SparseGramOperator(m, mt, e);
+                                const std::optional<SparseIntervalMatrix>& mt,
+                                Endpoint e) {
+  return mt ? SparseGramOperator(m, *mt, e) : SparseGramOperator(m, e);
 }
 
 ShardedGramOperator GramOperator(const ShardedSparseIntervalMatrix& m,
@@ -103,18 +119,12 @@ ShardedGramOperator GramOperator(const ShardedSparseIntervalMatrix& m,
 }
 
 // workᵀ B, the ISVD4 recompute product, where work = m (or mᵀ when
-// `transposed`). CSR runs a forward interval product on the transposed
-// matrix — on the kMMt route workᵀ is just `m` again, so no transpose needs
-// building at all. The sharded store runs the transposed product directly
-// as a shard scatter reduction.
-IntervalMatrix WorkTransposeTimes(const SparseIntervalMatrix& m,
-                                  bool transposed, const Matrix& b) {
+// `transposed`). Both stores scatter it from the rows of m; on the CSR kMMt
+// route workᵀ is m itself, so it is a forward product.
+template <typename SparseMat>
+IntervalMatrix WorkTransposeTimes(const SparseMat& m, bool transposed,
+                                  const Matrix& b) {
   if (transposed) return m.IntervalMultiplyDense(b);
-  return m.Transpose().IntervalMultiplyDense(b);
-}
-
-IntervalMatrix WorkTransposeTimes(const ShardedSparseIntervalMatrix& m,
-                                  bool /*transposed*/, const Matrix& b) {
   return m.IntervalMultiplyDenseTranspose(b);
 }
 
@@ -366,11 +376,11 @@ GramEig ComputeGramEigImpl(const SparseMat& m, size_t rank,
     return result;
   }
 
-  // Matrix-free route: the Gram matrix is never formed. On CSR, building
-  // the shared transpose once is the whole preprocess phase; on the sharded
-  // store each Lanczos step is one fused shard-parallel pass and there is
-  // no preprocess phase to charge.
-  const auto work_t = OperatorTranspose(work, &result.preprocess_seconds);
+  // Matrix-free route: the Gram matrix is never formed. On the two-pass CSR
+  // backends, building the shared transpose once is the whole preprocess
+  // phase; the fused AVX2 CSR route and the sharded store run each Lanczos
+  // step as one pass over the rows and have no preprocess phase to charge.
+  const auto work_t = GramTranspose(work, &result.preprocess_seconds);
 
   Stopwatch sw;
   ParallelFor(0, 2, [&](size_t side) {
@@ -449,8 +459,8 @@ IsvdResult Isvd4Impl(const SparseMat& m, const GramEig& gram,
 
   // Recompute V† from the solved U† (Section 4.5.1). The scalar prefix
   // S = Σ†⁻¹ (U†ᵀ)⁻¹ is r x n, so V† = (S M†)ᵀ is evaluated as M†ᵀ Sᵀ —
-  // one sparse interval product on the transposed matrix, matching the
-  // dense mixed-product semantics.
+  // one transposed sparse interval product scattered from the rows,
+  // matching the dense mixed-product semantics.
   Stopwatch sw;
   const Matrix u_avg = solved.u.Mid();  // n x r
   const Matrix u_inv = RobustInverse(u_avg, options.cond_threshold);  // r x n

@@ -37,6 +37,11 @@ class IntervalMatrix {
   static IntervalMatrix FromScalar(const Matrix& m) {
     return IntervalMatrix(m, m);
   }
+  // Same, copying `m` once and moving it into the upper endpoint.
+  static IntervalMatrix FromScalar(Matrix&& m) {
+    Matrix lower = m;
+    return IntervalMatrix(std::move(lower), std::move(m));
+  }
 
   size_t rows() const { return lower_.rows(); }
   size_t cols() const { return lower_.cols(); }

@@ -81,16 +81,24 @@ double IntervalDensity(const IntervalMatrix& m, double tol) {
 }
 
 std::vector<double> NormalizeColumnsL2(Matrix& m) {
-  std::vector<double> norms(m.cols());
-  for (size_t j = 0; j < m.cols(); ++j) {
-    double sum = 0.0;
-    for (size_t i = 0; i < m.rows(); ++i) sum += m(i, j) * m(i, j);
-    const double norm = std::sqrt(sum);
-    norms[j] = norm;
-    if (norm > 0.0) {
-      const double inv = 1.0 / norm;
-      for (size_t i = 0; i < m.rows(); ++i) m(i, j) *= inv;
-    }
+  // Row-major passes over the row-major storage. Each column still sums its
+  // squares in ascending row order, so the norms (and the scaled entries)
+  // are bit-identical to the column-at-a-time loop.
+  const size_t cols = m.cols();
+  std::vector<double> norms(cols, 0.0);
+  for (size_t i = 0; i < m.rows(); ++i) {
+    const double* row = m.RowPtr(i);
+    for (size_t j = 0; j < cols; ++j) norms[j] += row[j] * row[j];
+  }
+  // Zero-norm columns stay unchanged (scaled by exactly 1).
+  std::vector<double> inv(cols, 1.0);
+  for (size_t j = 0; j < cols; ++j) {
+    norms[j] = std::sqrt(norms[j]);
+    if (norms[j] > 0.0) inv[j] = 1.0 / norms[j];
+  }
+  for (size_t i = 0; i < m.rows(); ++i) {
+    double* row = m.RowPtr(i);
+    for (size_t j = 0; j < cols; ++j) row[j] *= inv[j];
   }
   return norms;
 }

@@ -328,11 +328,7 @@ bool ShardedSparseIntervalMatrix::OpenStore(const std::string& dir,
     MappedSegment seg;
     if (!MapShardFile(path, &seg, error)) return false;
     if (k == 0) {
-      m.cols_ = seg.cols();
-      if (m.cols_ > size_t{0xffffffff}) {
-        *error = path + ": column count exceeds the packed-index range";
-        return false;
-      }
+      m.cols_ = seg.cols();  // MapShardFile bounds it to the u32 range
     } else if (seg.cols() != m.cols_) {
       *error = path + ": shard column count differs from shard 0";
       return false;

@@ -167,8 +167,8 @@ class ShardedSparseIntervalMatrix {
   IntervalMatrix IntervalMultiplyDense(const Matrix& b) const;
 
   // C† = A†ᵀ B for dense B (rows() x k): the transposed interval product
-  // (what the monolithic path computes as Transpose().IntervalMultiplyDense)
-  // via per-group scatter partials — again with no materialized transpose.
+  // via per-group scatter partials — again with no materialized transpose,
+  // like the monolithic method of the same name.
   IntervalMatrix IntervalMultiplyDenseTranspose(const Matrix& b) const;
 
   // The dense Gram / Algorithm-1 interval Gram endpoints, accumulated

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -196,6 +197,13 @@ bool WriteShardFile(const std::string& path, size_t rows, size_t cols,
 bool MapShardFile(const std::string& path, MappedSegment* out,
                   std::string* error) {
   IVMF_CHECK(out != nullptr && error != nullptr);
+  const auto reject = [&](const char* reason, const std::string& why) {
+    obs::MetricsRegistry::Global()
+        .GetCounter("sparse.shard.rejected", {{"reason", reason}})
+        .Add();
+    *error = path + ": " + why;
+    return false;
+  };
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     *error = "open(" + path + ") failed: " + std::strerror(errno);
@@ -209,9 +217,8 @@ bool MapShardFile(const std::string& path, MappedSegment* out,
   }
   const size_t file_bytes = static_cast<size_t>(st.st_size);
   if (file_bytes < sizeof(ShardHeader)) {
-    *error = path + ": file shorter than the shard header";
     ::close(fd);
-    return false;
+    return reject("length", "file shorter than the shard header");
   }
   void* base = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps its own reference
@@ -220,21 +227,34 @@ bool MapShardFile(const std::string& path, MappedSegment* out,
     return false;
   }
 
-  const auto fail = [&](const std::string& why) {
+  const auto fail = [&](const char* reason, const std::string& why) {
     ::munmap(base, file_bytes);
-    *error = path + ": " + why;
-    return false;
+    return reject(reason, why);
   };
 
   ShardHeader header;
   std::memcpy(&header, base, sizeof(header));
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return fail("bad magic (not a shard segment file)");
+    return fail("magic", "bad magic (not a shard segment file)");
+  }
+  // Bound the header's shape by the file before any size arithmetic: a row
+  // costs at least its 8-byte offset and an entry its 20 bytes (index and
+  // two endpoints), so ShardFileBytes below cannot wrap. Packed indices
+  // are 32-bit, so no column count past their range can be addressed.
+  const size_t body = file_bytes - sizeof(ShardHeader);
+  if (header.rows >= body / sizeof(uint64_t) ||
+      header.nnz > body / (sizeof(uint32_t) + 2 * sizeof(double))) {
+    return fail("shape", "header shape exceeds the file length");
+  }
+  if (header.cols > uint64_t{0xffffffff}) {
+    return fail("shape", "column count exceeds the packed-index range");
   }
   const size_t rows = header.rows;
+  const size_t cols = header.cols;
   const size_t nnz = header.nnz;
   if (file_bytes != ShardFileBytes(rows, nnz)) {
-    return fail("file length does not match the header shape (truncated?)");
+    return fail("length",
+                "file length does not match the header shape (truncated?)");
   }
 
   const char* p = static_cast<const char*>(base) + sizeof(ShardHeader);
@@ -246,21 +266,39 @@ bool MapShardFile(const std::string& path, MappedSegment* out,
   p += nnz * sizeof(double);
   const auto* hi = reinterpret_cast<const double*>(p);
 
+  // One pass over the rows checks everything the kernels and At() rely on:
+  // offsets that stay inside the entry arrays, in-shape columns strictly
+  // ascending within a row (At() binary-searches them), finite endpoints.
+  // lo > hi stays accepted: Builder::Append and FromCsr take improper
+  // intervals, and a store must round-trip what they wrote.
   if (row_ptr[0] != 0 || row_ptr[rows] != nnz) {
-    return fail("row offsets do not span the entry arrays");
+    return fail("row_offsets", "row offsets do not span the entry arrays");
   }
   for (size_t i = 0; i < rows; ++i) {
-    if (row_ptr[i] > row_ptr[i + 1]) return fail("row offsets not monotone");
-  }
-  for (size_t k = 0; k < nnz; ++k) {
-    if (col[k] >= header.cols) return fail("column index outside the shape");
+    const uint64_t begin = row_ptr[i];
+    const uint64_t end = row_ptr[i + 1];
+    if (begin > end || end > nnz) {
+      return fail("row_offsets", "row offsets not monotone within the entries");
+    }
+    for (uint64_t k = begin; k < end; ++k) {
+      if (col[k] >= cols) {
+        return fail("column_out_of_shape", "column index outside the shape");
+      }
+      if (k > begin && col[k - 1] >= col[k]) {
+        return fail("column_order",
+                    "columns not strictly ascending within a row");
+      }
+      if (!std::isfinite(lo[k]) || !std::isfinite(hi[k])) {
+        return fail("non_finite", "non-finite endpoint value");
+      }
+    }
   }
 
   out->Release();
   out->base_ = base;
   out->bytes_ = file_bytes;
   out->rows_ = rows;
-  out->cols_ = header.cols;
+  out->cols_ = cols;
   out->nnz_ = nnz;
   out->row_ptr_ = reinterpret_cast<const size_t*>(row_ptr);
   out->col_ = col;

@@ -11,9 +11,10 @@
 //
 // Alignment: every array in the file starts on an 8-byte boundary (the
 // column block is padded), so the mapped pointers satisfy the natural
-// alignment of u64/f64 loads. The header is validated on open — magic,
-// sizes, file length — so a truncated or foreign file fails cleanly
-// instead of faulting mid-decompose.
+// alignment of u64/f64 loads. The file is validated on open — magic,
+// sizes, file length, offsets, column order, finite values — so a
+// truncated, foreign or crafted file fails cleanly instead of faulting
+// mid-decompose. The format carries no checksum.
 //
 // Residency accounting: file-backed pages count toward RSS while resident.
 // MappedSegment::DropResidency (madvise MADV_DONTNEED) returns a shard's
@@ -129,9 +130,16 @@ bool WriteShardFile(const std::string& path, size_t rows, size_t cols,
                     const size_t* row_ptr, const uint32_t* col,
                     const double* lo, const double* hi, std::string* error);
 
-// Maps a segment file read-only and validates its header (magic, version,
-// array extents against the file length). Returns false and sets *error on
-// open/validate failure; *out is untouched on failure.
+// Maps a segment file read-only and validates it before any kernel reads
+// it: the magic; the header shape against the file length (bounded before
+// any size arithmetic, so no crafted shape can wrap it) and the 32-bit
+// column range; then, in one pass over the rows, offsets inside the entry
+// arrays, in-shape columns strictly ascending within each row, and finite
+// endpoint values. lo > hi is accepted (Builder::Append takes improper
+// intervals). Returns false and sets *error on open/validate failure; *out
+// is untouched on failure. Each validation rejection counts in
+// sparse.shard.rejected{reason}: length, magic, shape, row_offsets,
+// column_out_of_shape, column_order or non_finite.
 bool MapShardFile(const std::string& path, MappedSegment* out,
                   std::string* error);
 

@@ -8,7 +8,8 @@
 //    the four products are monotone in the entries, so the min/max collapse
 //    to M_*ᵀ M_* and M^*ᵀ M^*. Each is a fixed bilinear form, and
 //    SparseGramOperator applies y = M_eᵀ (M_e x) in O(nnz) per Lanczos step
-//    through two CSR passes — the Gram matrix is never materialized.
+//    — one fused pass over the rows on AVX2, two CSR passes elsewhere — so
+//    the Gram matrix is never materialized.
 //
 //  - Signed M†: the minimizing product varies per Gram entry (it depends on
 //    full column inner products), so the Algorithm-1 endpoints are
@@ -40,18 +41,38 @@ namespace ivmf {
 // matrices (see the file comment); callers with signed data use
 // DenseGramEndpoints.
 //
-// Holds `m` and `mt` (the precomputed m.Transpose()) by reference; both must
-// outlive the operator. Two operators (one per endpoint) can share the same
-// pair and be applied concurrently — Apply only touches per-instance
-// scratch.
+// When `mt` (the precomputed m.Transpose()) is read: on the AVX2 backend
+// Apply runs the one-pass fused m.GramMultiply and never reads it; the
+// scalar and SELL backends keep the literal two-pass composition and run
+// the second pass forward on `mt`. ReadsTranspose says which case a matrix
+// is in; the transpose-free constructor takes only matrices that read
+// none. Sparse ISVD2–ISVD4 builds `mt` only when it is read.
+//
+// Holds `m` (and `mt`) by reference; both must outlive the operator. Two
+// operators (one per endpoint) can share the same matrices and be applied
+// concurrently — Apply only touches per-instance scratch.
 class SparseGramOperator final : public LinearOperator {
  public:
   SparseGramOperator(const SparseIntervalMatrix& m,
                      const SparseIntervalMatrix& mt,
                      SparseIntervalMatrix::Endpoint endpoint)
-      : m_(m), mt_(mt), endpoint_(endpoint) {
+      : m_(m), mt_(&mt), endpoint_(endpoint) {
     IVMF_CHECK_MSG(mt.rows() == m.cols() && mt.cols() == m.rows(),
                    "mt must be the transpose of m");
+  }
+
+  // The transpose-free form, for a matrix on the fused AVX2 backend.
+  SparseGramOperator(const SparseIntervalMatrix& m,
+                     SparseIntervalMatrix::Endpoint endpoint)
+      : m_(m), mt_(nullptr), endpoint_(endpoint) {
+    IVMF_CHECK_MSG(!ReadsTranspose(m),
+                   "the two-pass Gram backends need the transpose of m");
+  }
+
+  // True when Apply on `m` would read a supplied transpose: every backend
+  // but the fused AVX2 one.
+  static bool ReadsTranspose(const SparseIntervalMatrix& m) {
+    return spk::Resolve(m.ResolvedKernel()) != spk::Backend::kAvx2;
   }
 
   size_t Dim() const override { return m_.cols(); }
@@ -63,12 +84,12 @@ class SparseGramOperator final : public LinearOperator {
     // cache-hot). Other backends keep the literal two-pass composition —
     // the scalar path stays the reference semantics the differential tests
     // pin the fused kernels against.
-    if (spk::Resolve(m_.ResolvedKernel()) == spk::Backend::kAvx2) {
+    if (!ReadsTranspose(m_)) {
       m_.GramMultiply(endpoint_, x, y);
       return;
     }
     m_.Multiply(endpoint_, x, scratch_);     // scratch = M_e x   (n)
-    mt_.Multiply(endpoint_, scratch_, y);    // y = M_eᵀ scratch  (m)
+    mt_->Multiply(endpoint_, scratch_, y);   // y = M_eᵀ scratch  (m)
   }
 
   // The dense endpoint Gram matrix M_eᵀ M_e, accumulated row-by-row from the
@@ -87,7 +108,7 @@ class SparseGramOperator final : public LinearOperator {
 
  private:
   const SparseIntervalMatrix& m_;
-  const SparseIntervalMatrix& mt_;
+  const SparseIntervalMatrix* mt_;  // null when Apply reads none
   SparseIntervalMatrix::Endpoint endpoint_;
   mutable std::vector<double> scratch_;
 };

@@ -78,43 +78,62 @@ void ForRowBlocks(size_t rows, size_t min_rows, Fn&& fn) {
       /*min_items_per_thread=*/min_blocks > 0 ? min_blocks : 1);
 }
 
-// Runs an accumulating row scatter fn(out, row_begin, row_end) over rows
-// [0, rows) into y (resized to cols). Each worker scatters its block of rows
-// into a private accumulator, then the accumulators reduce column-parallel
-// in fixed block order. The partitioning depends only on the shape and
-// hardware concurrency, so repeated calls are bit-identical.
+// Runs an accumulating row scatter fn(out0, out1, row_begin, row_end) over
+// rows [0, rows) into out0 (and out1, when non-null), `len` doubles each.
+// Each worker scatters its block of rows into private accumulators, then
+// the accumulators reduce in fixed worker order, in parallel over entries.
+// A worker takes at least kMinRowsPerThread rows, and the workers'
+// accumulators together never take more memory than a transpose of the
+// matrix would (nnz x 24 bytes: index and both endpoints), so a wide
+// product runs on fewer workers, down to one that scatters straight into
+// the outputs. The partitioning depends only on the shape and hardware
+// concurrency, so repeated calls are bit-identical.
 template <typename ScatterFn>
-void ScatterRows(size_t rows, size_t cols, std::vector<double>& y,
-                 ScatterFn&& scatter) {
+void ScatterRows(size_t rows, size_t nnz, size_t len, double* out0,
+                 double* out1, ScatterFn&& scatter) {
   constexpr size_t kMinRowsPerThread = 2048;
+  constexpr size_t kTransposeBytesPerNnz =
+      sizeof(size_t) + 2 * sizeof(double);
+  const size_t outs = out1 != nullptr ? 2 : 1;
   size_t threads = SuggestedThreads(rows);
-  const size_t cap = (rows + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > cap) threads = cap;
+  const size_t row_cap = (rows + kMinRowsPerThread - 1) / kMinRowsPerThread;
+  if (threads > row_cap) threads = row_cap;
+  if (len > 0) {
+    const size_t memory_cap =
+        nnz * kTransposeBytesPerNnz / (outs * len * sizeof(double));
+    if (threads > memory_cap) threads = memory_cap;
+  }
   if (threads <= 1) {
-    y.assign(cols, 0.0);
-    scatter(y.data(), 0, rows);
+    std::fill(out0, out0 + len, 0.0);
+    if (out1 != nullptr) std::fill(out1, out1 + len, 0.0);
+    scatter(out0, out1, 0, rows);
     return;
   }
 
-  std::vector<std::vector<double>> partials(threads);
+  std::vector<std::vector<double>> partials(threads * outs);
   const size_t chunk = (rows + threads - 1) / threads;
   ParallelFor(
       0, threads,
       [&](size_t t) {
-        std::vector<double>& part = partials[t];
-        part.assign(cols, 0.0);
+        double* parts[2] = {nullptr, nullptr};
+        for (size_t o = 0; o < outs; ++o) {
+          partials[t * outs + o].assign(len, 0.0);
+          parts[o] = partials[t * outs + o].data();
+        }
         const size_t row_begin = t * chunk;
         const size_t row_end = std::min(rows, row_begin + chunk);
-        scatter(part.data(), row_begin, row_end);
+        scatter(parts[0], parts[1], row_begin, row_end);
       },
       /*max_threads=*/threads);
-  y.resize(cols);
+  double* outputs[2] = {out0, out1};
   ParallelFor(
-      0, cols,
+      0, len,
       [&](size_t j) {
-        double sum = 0.0;
-        for (size_t t = 0; t < partials.size(); ++t) sum += partials[t][j];
-        y[j] = sum;
+        for (size_t o = 0; o < outs; ++o) {
+          double sum = 0.0;
+          for (size_t t = 0; t < threads; ++t) sum += partials[t * outs + o][j];
+          outputs[o][j] = sum;
+        }
       },
       /*max_threads=*/0, /*min_items_per_thread=*/4096);
 }
@@ -273,6 +292,9 @@ std::vector<IntervalTriplet> SparseIntervalMatrix::ToTriplets() const {
 }
 
 SparseIntervalMatrix SparseIntervalMatrix::Transpose() const {
+  static obs::Counter& calls =
+      obs::MetricsRegistry::Global().GetCounter("sparse.transpose.calls");
+  calls.Add(1);
   SparseIntervalMatrix t;
   t.kernel_ = kernel_;  // backend selection follows the matrix
   t.rows_ = cols_;
@@ -442,13 +464,16 @@ void SparseIntervalMatrix::MultiplyTranspose(Endpoint e,
   counters.For(backend).Count(rows_, nnz());
   const std::vector<double>& v = values(e);
   const spk::CsrView view = View();
-  ScatterRows(rows_, cols_, y, [&](double* out, size_t begin, size_t end) {
-    if (backend == spk::Backend::kAvx2) {
-      spk::MatVecTAvx2(view, v.data(), x.data(), out, begin, end);
-    } else {
-      spk::MatVecTScalar(view, v.data(), x.data(), out, begin, end);
-    }
-  });
+  y.resize(cols_);
+  ScatterRows(rows_, nnz(), cols_, y.data(), nullptr,
+              [&](double* out, double*, size_t begin, size_t end) {
+                if (backend == spk::Backend::kAvx2) {
+                  spk::MatVecTAvx2(view, v.data(), x.data(), out, begin, end);
+                } else {
+                  spk::MatVecTScalar(view, v.data(), x.data(), out, begin,
+                                     end);
+                }
+              });
 }
 
 void SparseIntervalMatrix::GramMultiply(Endpoint e,
@@ -468,13 +493,17 @@ void SparseIntervalMatrix::GramMultiply(Endpoint e,
   const bool avx2 = backend == spk::Backend::kAvx2;
   const spk::PackedCsrView packed =
       avx2 ? PackedView() : spk::PackedCsrView{};
-  ScatterRows(rows_, cols_, y, [&](double* out, size_t begin, size_t end) {
-    if (avx2) {
-      spk::GramFusedPackedAvx2(packed, v.data(), x.data(), out, begin, end);
-    } else {
-      spk::GramFusedScalar(view, v.data(), x.data(), out, begin, end);
-    }
-  });
+  y.resize(cols_);
+  ScatterRows(rows_, nnz(), cols_, y.data(), nullptr,
+              [&](double* out, double*, size_t begin, size_t end) {
+                if (avx2) {
+                  spk::GramFusedPackedAvx2(packed, v.data(), x.data(), out,
+                                           begin, end);
+                } else {
+                  spk::GramFusedScalar(view, v.data(), x.data(), out, begin,
+                                       end);
+                }
+              });
 }
 
 Matrix SparseIntervalMatrix::MultiplyDense(Endpoint e, const Matrix& b) const {
@@ -533,6 +562,39 @@ IntervalMatrix SparseIntervalMatrix::IntervalMultiplyDense(
       lo(i, j) = std::min(p_lo(i, j), p_hi(i, j));
       hi(i, j) = std::max(p_lo(i, j), p_hi(i, j));
     }
+  }
+  return IntervalMatrix(std::move(lo), std::move(hi));
+}
+
+IntervalMatrix SparseIntervalMatrix::IntervalMultiplyDenseTranspose(
+    const Matrix& b) const {
+  IVMF_CHECK_MSG(b.rows() == rows_, "sparse x dense dimension mismatch");
+  // Transpose().IntervalMultiplyDense(b) without building the transpose:
+  // row blocks scatter A_*ᵀ B and A^*ᵀ B in one pattern pass, then the
+  // elementwise min / max makes the interval. The scatter has no
+  // vectorized variant, so every backend runs the packed scalar kernel.
+  const size_t bcols = b.cols();
+  Matrix lo(cols_, bcols);
+  Matrix hi(cols_, bcols);
+  if (bcols == 0 || rows_ == 0 || cols_ == 0) {
+    return IntervalMatrix(std::move(lo), std::move(hi));
+  }
+  static KernelCounters counters("multiply_dense_t_both", "scalar");
+  counters.Count(rows_, nnz());
+  const spk::PackedCsrView packed = PackedView();
+  double* p_lo = lo.data();
+  double* p_hi = hi.data();
+  ScatterRows(rows_, nnz(), cols_ * bcols, p_lo, p_hi,
+              [&](double* out_lo, double* out_hi, size_t begin, size_t end) {
+                spk::MatDenseTBothPackedScalar(packed, lo_.data(), hi_.data(),
+                                               b.data(), bcols, out_lo,
+                                               out_hi, begin, end);
+              });
+  for (size_t k = 0; k < cols_ * bcols; ++k) {
+    const double a = p_lo[k];
+    const double c = p_hi[k];
+    p_lo[k] = std::min(a, c);
+    p_hi[k] = std::max(a, c);
   }
   return IntervalMatrix(std::move(lo), std::move(hi));
 }

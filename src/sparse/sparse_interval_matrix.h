@@ -5,9 +5,10 @@
 // both memory and flops there. SparseIntervalMatrix stores one compressed
 // sparsity pattern shared by the two endpoint value arrays — structurally
 // a CSR matrix whose values are [lo, hi] pairs — plus the endpoint kernels
-// (sparse x vector, sparse x dense, row/column norms) the matrix-free ISVD
-// path is built from. All absent entries are the scalar zero interval
-// [0, 0], exactly like the unobserved cells of the dense constructions.
+// (sparse x vector and its transpose, sparse x dense and its transpose, the
+// fused Gram, row/column norms) the matrix-free ISVD path is built from.
+// All absent entries are the scalar zero interval [0, 0], exactly like the
+// unobserved cells of the dense constructions.
 
 #ifndef IVMF_SPARSE_SPARSE_INTERVAL_MATRIX_H_
 #define IVMF_SPARSE_SPARSE_INTERVAL_MATRIX_H_
@@ -114,8 +115,9 @@ class SparseIntervalMatrix {
   // Explicit entries in row-major order.
   std::vector<IntervalTriplet> ToTriplets() const;
 
-  // CSR of the transpose. O(nnz); the two endpoint arrays share the single
-  // transposed pattern, like the forward matrix.
+  // CSR of the transpose. O(nnz) time and a second copy of the arrays; the
+  // two endpoint arrays share the single transposed pattern, like the
+  // forward matrix. Each call counts in sparse.transpose.calls.
   SparseIntervalMatrix Transpose() const;
 
   // True when every stored entry satisfies lo <= hi.
@@ -161,10 +163,11 @@ class SparseIntervalMatrix {
   // IntervalMultiplyDense) compute every output entry from exactly the
   // serial loop's terms — vectorized variants reassociate within a row by a
   // fixed lane blocking, so they agree with the scalar reference to
-  // roundoff and are bit-stable across calls. MultiplyTranspose and
-  // GramMultiply reduce per-thread partial accumulators, so their summation
-  // order differs from the serial scatter by a fixed blocking (bit-stable
-  // across calls, equal to the serial result up to roundoff).
+  // roundoff and are bit-stable across calls. MultiplyTranspose,
+  // GramMultiply and IntervalMultiplyDenseTranspose reduce per-thread
+  // partial accumulators, so their summation order differs from the serial
+  // scatter by a fixed blocking (bit-stable across calls, equal to the
+  // serial result up to roundoff).
   //
   // Aliasing contract (checked): output vectors may not alias input vectors
   // or each other — the kernels stream inputs while writing outputs in
@@ -186,7 +189,12 @@ class SparseIntervalMatrix {
   // accumulators over row blocks followed by a column-parallel reduction;
   // iterative solvers that apply the transpose many times may still prefer
   // holding a Transpose() and calling Multiply on it (streaming reads beat
-  // the scatter).
+  // the scatter). Three callers do: the sparse ISVD0/ISVD1 endpoint maps
+  // (the transposed forward matvec runs about twice as fast as this
+  // scatter at 20k x 5k), the two-pass Gram operator on the scalar and
+  // SELL backends, and the Gram route on MMᵀ, whose working matrix is the
+  // transpose. The fused AVX2 Gram route and the ISVD4 recompute
+  // (IntervalMultiplyDenseTranspose) build none.
   void MultiplyTranspose(Endpoint e, const std::vector<double>& x,
                          std::vector<double>& y) const;
 
@@ -198,6 +206,17 @@ class SparseIntervalMatrix {
   // IntervalMatMul exactly: C_lo / C_hi are the elementwise min / max of the
   // two full endpoint products A_* B and A^* B.
   IntervalMatrix IntervalMultiplyDense(const Matrix& b) const;
+
+  // C† = A†ᵀ * B for a dense scalar B (rows() x k), equal to
+  // Transpose().IntervalMultiplyDense(b) up to roundoff without building the
+  // transpose: row blocks scatter A_*ᵀ B and A^*ᵀ B into per-thread
+  // accumulators (the packed scalar MatDenseTBothPackedScalar kernel on
+  // every backend), which reduce in fixed order before the elementwise
+  // min / max. Bit-stable across calls. Workers are capped so their
+  // accumulators never outgrow the transpose they replace (nnz x 24 bytes).
+  // Same contract as ShardedSparseIntervalMatrix's method of this name; the
+  // ISVD4 recompute V† = M†ᵀ S runs on it.
+  IntervalMatrix IntervalMultiplyDenseTranspose(const Matrix& b) const;
 
   // y = A_eᵀ (A_e x) in a single pass over the pattern (y resized to
   // cols()): each row's dot against x and its scaled scatter into y share

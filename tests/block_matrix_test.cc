@@ -10,10 +10,13 @@
 // object, re-verify).
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "base/rng.h"
 #include "interval/interval_matrix.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 #include "sparse/block_matrix.h"
 #include "sparse/shard_store.h"
 #include "sparse/sparse_gram_operator.h"
@@ -377,6 +381,167 @@ TEST(BlockMatrixMmapTest, OpenStoreReopensPersistedSegments) {
     std::remove((dir + "/shard_" + std::to_string(s) + ".ivsh").c_str());
   }
   ::rmdir(dir.c_str());
+}
+
+// -- Map-time validation of crafted .ivsh files ------------------------------
+//
+// Each file below is a shard_0.ivsh that OpenStore must refuse with an
+// error and one count in sparse.shard.rejected{reason}, without reading
+// outside the mapping.
+
+struct RawShard {
+  uint64_t rows = 0;
+  uint64_t cols = 0;
+  uint64_t nnz = 0;
+  std::vector<uint64_t> row_ptr;
+  std::vector<uint32_t> col;
+  std::vector<double> lo;
+  std::vector<double> hi;
+};
+
+// Writes the header and arrays exactly as given, in the segment layout
+// (the column block padded to 8 bytes), whatever the header claims.
+void WriteRawShard(const std::string& path, const RawShard& s) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  // Empty arrays have no data pointer to hand to fwrite.
+  const auto write = [f](const auto& array) {
+    if (!array.empty()) {
+      std::fwrite(array.data(), sizeof(array[0]), array.size(), f);
+    }
+  };
+  const std::vector<char> magic = {'I', 'V', 'S', 'H', 'A', 'R', 'D', '1'};
+  write(magic);
+  write(std::vector<uint64_t>{s.rows, s.cols, s.nnz, 0});
+  write(s.row_ptr);
+  write(s.col);
+  if (s.col.size() % 2 == 1) write(std::vector<uint32_t>{0});
+  write(s.lo);
+  write(s.hi);
+  std::fclose(f);
+}
+
+uint64_t Rejected(const char* reason) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("sparse.shard.rejected", {{"reason", reason}})
+      .value();
+}
+
+// Writes `s` as the only shard of a fresh directory and opens the store.
+// Returns whether OpenStore accepted it; *error holds its message.
+bool OpenRawStore(const RawShard& s, std::string* error) {
+  char dir_template[] = "/tmp/ivmf_block_raw_XXXXXX";
+  if (::mkdtemp(dir_template) == nullptr) return false;
+  const std::string dir = dir_template;
+  const std::string path = dir + "/shard_0.ivsh";
+  WriteRawShard(path, s);
+  ShardedSparseIntervalMatrix m;
+  const bool ok = ShardedSparseIntervalMatrix::OpenStore(dir, &m, error);
+  m = ShardedSparseIntervalMatrix();  // unmap before removing the file
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
+  return ok;
+}
+
+// A valid 2 x 4 shard: row 0 holds columns 1 and 3, row 1 column 0.
+RawShard ValidRawShard() {
+  RawShard s;
+  s.rows = 2;
+  s.cols = 4;
+  s.nnz = 3;
+  s.row_ptr = {0, 2, 3};
+  s.col = {1, 3, 0};
+  s.lo = {1.0, 2.0, 3.0};
+  s.hi = {1.5, 2.5, 3.5};
+  return s;
+}
+
+void ExpectRejected(const RawShard& s, const char* reason) {
+  const uint64_t before = Rejected(reason);
+  std::string error;
+  EXPECT_FALSE(OpenRawStore(s, &error)) << reason;
+  EXPECT_FALSE(error.empty()) << reason;
+  EXPECT_EQ(Rejected(reason) - before, 1u) << reason << ": " << error;
+}
+
+TEST(ShardFileValidationTest, ValidAndImproperShardsOpen) {
+  std::string error;
+  EXPECT_TRUE(OpenRawStore(ValidRawShard(), &error)) << error;
+  // lo > hi is an improper interval, not corruption: Builder::Append accepts
+  // it, so a store must reopen it.
+  RawShard improper = ValidRawShard();
+  std::swap(improper.lo, improper.hi);
+  EXPECT_TRUE(OpenRawStore(improper, &error)) << error;
+}
+
+TEST(ShardFileValidationTest, ShapeThatWrapsTheLengthCheckIsRejected) {
+  // 56 bytes: rows = 1, cols = 2^32 - 1, nnz = 2^62. The expected file
+  // length 40 + 16 + 4·2^62 + 16·2^62 wraps to 56 in 64 bits.
+  RawShard s;
+  s.rows = 1;
+  s.cols = 0xffffffffu;
+  s.nnz = uint64_t{1} << 62;
+  s.row_ptr = {0, uint64_t{1} << 62};
+  ExpectRejected(s, "shape");
+}
+
+TEST(ShardFileValidationTest, ColumnCountPastThePackedRangeIsRejected) {
+  RawShard s = ValidRawShard();
+  s.cols = uint64_t{1} << 32;
+  ExpectRejected(s, "shape");
+}
+
+TEST(ShardFileValidationTest, BadMagicAndLengthAreRejected) {
+  RawShard truncated = ValidRawShard();
+  truncated.hi.pop_back();  // the file ends 8 bytes early
+  ExpectRejected(truncated, "length");
+
+  char dir_template[] = "/tmp/ivmf_block_raw_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string path = std::string(dir_template) + "/shard_0.ivsh";
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char junk[64] = "not a shard segment";
+  std::fwrite(junk, 1, sizeof(junk), f);
+  std::fclose(f);
+  const uint64_t before = Rejected("magic");
+  ShardedSparseIntervalMatrix m;
+  std::string error;
+  EXPECT_FALSE(ShardedSparseIntervalMatrix::OpenStore(dir_template, &m,
+                                                      &error));
+  EXPECT_EQ(Rejected("magic") - before, 1u) << error;
+  std::remove(path.c_str());
+  ::rmdir(dir_template);
+}
+
+TEST(ShardFileValidationTest, BadRowOffsetsAreRejected) {
+  RawShard non_monotone = ValidRawShard();
+  non_monotone.row_ptr = {0, 4, 3};  // row 0 runs past nnz
+  ExpectRejected(non_monotone, "row_offsets");
+  RawShard short_span = ValidRawShard();
+  short_span.row_ptr = {0, 1, 2};  // entry 2 belongs to no row
+  ExpectRejected(short_span, "row_offsets");
+}
+
+TEST(ShardFileValidationTest, ColumnDefectsAreRejected) {
+  RawShard out_of_shape = ValidRawShard();
+  out_of_shape.col[1] = 4;
+  ExpectRejected(out_of_shape, "column_out_of_shape");
+  RawShard descending = ValidRawShard();
+  descending.col = {3, 1, 0};
+  ExpectRejected(descending, "column_order");
+  RawShard duplicate = ValidRawShard();
+  duplicate.col = {1, 1, 0};
+  ExpectRejected(duplicate, "column_order");
+}
+
+TEST(ShardFileValidationTest, NonFiniteValuesAreRejected) {
+  RawShard nan_lo = ValidRawShard();
+  nan_lo.lo[1] = std::nan("");
+  ExpectRejected(nan_lo, "non_finite");
+  RawShard inf_hi = ValidRawShard();
+  inf_hi.hi[2] = std::numeric_limits<double>::infinity();
+  ExpectRejected(inf_hi, "non_finite");
 }
 
 TEST(BlockMatrixEdgeTest, DefaultConstructedIsEmpty) {

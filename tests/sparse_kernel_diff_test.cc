@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "base/rng.h"
 #include "interval/interval_matrix.h"
 #include "linalg/matrix.h"
+#include "sparse/block_matrix.h"
 #include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "sparse/sparse_kernels.h"
@@ -299,6 +301,15 @@ TEST_P(SparseKernelDiffTest, GramOperatorMatchesComposition) {
       const std::vector<double> want_hi =
           ref.MatVecT(Endpoint::kUpper, ref.MatVec(Endpoint::kUpper, x));
       ExpectVectorNear(y, want_hi, "Gram.hi/" + CaseName(s, b, non_negative));
+      // Only the fused AVX2 route reads no transpose, and only it may be
+      // built without one.
+      const bool reads = SparseGramOperator::ReadsTranspose(m);
+      EXPECT_EQ(reads, spk::Resolve(b) != spk::Backend::kAvx2);
+      if (!reads) {
+        SparseGramOperator(m, Endpoint::kLower).Apply(x, y);
+        ExpectVectorNear(
+            y, want_lo, "TransposeFreeGram.lo/" + CaseName(s, b, non_negative));
+      }
     }
   }
 }
@@ -329,6 +340,54 @@ TEST_P(SparseKernelDiffTest, FusedGramMatchesReference) {
   }
 }
 
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.rows() * a.cols() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      a.rows() * a.cols() * sizeof(double)) == 0);
+}
+
+// The row-scatter transposed interval product against its definition on
+// the materialized transpose and against the sharded store's method of the
+// same name (1e-12 relative); a repeat call must be bit-identical.
+void ExpectTransposeProductMatches(const SparseIntervalMatrix& m,
+                                   const Matrix& b, const std::string& what) {
+  const IntervalMatrix got = m.IntervalMultiplyDenseTranspose(b);
+  const IntervalMatrix want = m.Transpose().IntervalMultiplyDense(b);
+  ExpectMatrixNear(got.lower(), want.lower(), what + "/vs_transpose.lo");
+  ExpectMatrixNear(got.upper(), want.upper(), what + "/vs_transpose.hi");
+  const IntervalMatrix sharded =
+      ShardedSparseIntervalMatrix::FromCsr(m, 1024)
+          .IntervalMultiplyDenseTranspose(b);
+  ExpectMatrixNear(got.lower(), sharded.lower(), what + "/vs_sharded.lo");
+  ExpectMatrixNear(got.upper(), sharded.upper(), what + "/vs_sharded.hi");
+  const IntervalMatrix again = m.IntervalMultiplyDenseTranspose(b);
+  EXPECT_TRUE(BitEqual(got.lower(), again.lower())) << what << " repeat.lo";
+  EXPECT_TRUE(BitEqual(got.upper(), again.upper())) << what << " repeat.hi";
+}
+
+TEST_P(SparseKernelDiffTest, IntervalMultiplyDenseTransposeMatchesTranspose) {
+  // The grid covers signed values, empty rows, a one-row matrix and the
+  // empty shape; the zero-column operand must give a cols x 0 result.
+  const bool non_negative = GetParam();
+  Rng rng(17);
+  for (const Shape& s : MakeShapes(non_negative)) {
+    for (size_t bcols : {size_t{0}, size_t{1}, size_t{3}, size_t{10}}) {
+      const Matrix b_dense = RandomDense(rng, s.rows, bcols);
+      for (spk::Backend b : kBackends) {
+        const SparseIntervalMatrix m = Build(s, b);
+        const IntervalMatrix prod = m.IntervalMultiplyDenseTranspose(b_dense);
+        EXPECT_EQ(prod.rows(), s.cols);
+        EXPECT_EQ(prod.cols(), bcols);
+        ExpectTransposeProductMatches(
+            m, b_dense,
+            "IntervalMultiplyDenseTranspose/" + CaseName(s, b, non_negative) +
+                "/k" + std::to_string(bcols));
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Regimes, SparseKernelDiffTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
@@ -351,6 +410,44 @@ TEST(SparseKernelContractTest, MultiplyDenseZeroColumns) {
     const IntervalMatrix ci = mm.IntervalMultiplyDense(b);
     EXPECT_EQ(ci.rows(), 3u);
     EXPECT_EQ(ci.cols(), 0u);
+  }
+}
+
+// Shapes large enough for the row scatter to split across workers (at
+// least 2048 rows each), in both packed index widths, plus one whose
+// accumulators would outgrow the transpose they replace.
+TEST(SparseKernelScatterTest, IntervalMultiplyDenseTransposeLargeShapes) {
+  struct Case {
+    const char* name;
+    size_t rows, cols, per_row, bcols;
+  };
+  const Case cases[] = {
+      // u16 indices; per-worker accumulators 2 x 500 x 10 doubles.
+      {"u16_8192x500", 8192, 500, 10, 10},
+      // u32 indices (cols > 65536); 196k nnz x 24 B covers two workers'
+      // 2 x 70000 x 2 doubles.
+      {"u32_8192x70000", 8192, 70000, 24, 2},
+      // The memory cap: 8192 nnz x 24 B is less than one worker's
+      // 2 x 60000 x 10 doubles, so the scatter runs on one worker.
+      {"capped_8192x60000", 8192, 60000, 1, 10},
+  };
+  Rng rng(18);
+  for (const Case& c : cases) {
+    std::vector<IntervalTriplet> entries;
+    for (size_t i = 0; i < c.rows; ++i) {
+      for (size_t k = 0; k < c.per_row; ++k) {
+        entries.push_back({i, rng.UniformIndex(c.cols), DrawValue(rng, false)});
+      }
+    }
+    SparseIntervalMatrix scalar =
+        SparseIntervalMatrix::FromTriplets(c.rows, c.cols, std::move(entries));
+    const Matrix b_dense = RandomDense(rng, c.rows, c.bcols);
+    for (spk::Backend b : kBackends) {
+      SparseIntervalMatrix m = scalar;
+      m.set_kernel(b);
+      ExpectTransposeProductMatches(
+          m, b_dense, std::string(c.name) + "/" + spk::BackendName(b));
+    }
   }
 }
 
