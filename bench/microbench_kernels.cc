@@ -222,8 +222,13 @@ void BM_SparseMultiplyMid(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMultiplyMid)->Arg(2000)->Arg(8000)->Arg(20000);
 
-void BM_SparseMultiplyTranspose(benchmark::State& state) {
-  const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
+// The transposed matvec, a row scatter over the matrix's own layout: the
+// packed AVX2 rows (auto at these shapes) or the SELL chunks.
+void SparseMultiplyTransposeBench(benchmark::State& state,
+                                  spk::Backend backend) {
+  const SparseIntervalMatrix m =
+      CfMatrix(static_cast<size_t>(state.range(0)), backend);
+  state.SetLabel(ResolvedName(m));
   std::vector<double> x(m.rows(), 1.0), y;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
@@ -234,7 +239,14 @@ void BM_SparseMultiplyTranspose(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(m.nnz()));
 }
+void BM_SparseMultiplyTranspose(benchmark::State& state) {
+  SparseMultiplyTransposeBench(state, spk::Backend::kAuto);
+}
+void BM_SparseMultiplyTransposeSell(benchmark::State& state) {
+  SparseMultiplyTransposeBench(state, spk::Backend::kSell);
+}
 BENCHMARK(BM_SparseMultiplyTranspose)->Arg(2000)->Arg(8000)->Arg(20000);
+BENCHMARK(BM_SparseMultiplyTransposeSell)->Arg(2000)->Arg(8000)->Arg(20000);
 
 // The ISVD4 recompute product V† = M†ᵀ S at rank 10: both endpoints'
 // transposed dense products scattered from the rows, then min / max.
@@ -258,13 +270,19 @@ BENCHMARK(BM_SparseIntervalMultiplyDenseTranspose)
     ->Arg(8000)
     ->Arg(20000);
 
+// The Gram apply the Lanczos eigensolver runs: fused over the packed AVX2
+// rows (auto) or the SELL chunks, and the scalar backend's two-pass
+// reference through a materialized transpose.
 void SparseGramApplyBench(benchmark::State& state, spk::Backend backend) {
   const SparseIntervalMatrix m =
       CfMatrix(static_cast<size_t>(state.range(0)), backend);
   state.SetLabel(ResolvedName(m));
-  const SparseIntervalMatrix mt = m.Transpose();
-  const SparseGramOperator gram(m, mt,
-                                SparseIntervalMatrix::Endpoint::kUpper);
+  const bool two_pass = backend == spk::Backend::kScalar;
+  const SparseIntervalMatrix mt =
+      two_pass ? m.Transpose() : SparseIntervalMatrix();
+  const auto kUpper = SparseIntervalMatrix::Endpoint::kUpper;
+  const SparseGramOperator gram = two_pass ? SparseGramOperator(m, mt, kUpper)
+                                           : SparseGramOperator(m, kUpper);
   std::vector<double> x(gram.Dim(), 1.0), y;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
@@ -272,7 +290,7 @@ void SparseGramApplyBench(benchmark::State& state, spk::Backend backend) {
     benchmark::DoNotOptimize(y.data());
   }
   ReportMatvecCounters(state, before);
-  // One Gram apply streams the nonzeros twice (M_e x, then M_eᵀ ·).
+  // One Gram apply is two products over the nonzeros (M_e x, then M_eᵀ ·).
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(m.nnz()));
 }
@@ -381,6 +399,9 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
   scalar.MultiplyTranspose(kUpper, xt, want);
   m.MultiplyTranspose(kUpper, xt, got);
   ok &= VectorsAgree(got, want, (label + "/transpose").c_str());
+  scalar_t.MultiplyMid(xt, want);
+  m.MultiplyTransposeMid(xt, got);
+  ok &= VectorsAgree(got, want, (label + "/transpose_mid").c_str());
   const Matrix dense_want = scalar.MultiplyDense(kUpper, b);
   const Matrix dense_got = m.MultiplyDense(kUpper, b);
   std::vector<double> dw(dense_want.data(),
@@ -406,6 +427,11 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
     SparseGramOperator(m, mt, e).Apply(x, got);
     ok &= VectorsAgree(
         got, want, (label + (e == kLower ? "/gram.lo" : "/gram.hi")).c_str());
+    SparseGramOperator(m, e).Apply(x, got);
+    ok &= VectorsAgree(got, want,
+                       (label + (e == kLower ? "/gram_fused.lo"
+                                             : "/gram_fused.hi"))
+                           .c_str());
   }
   return ok;
 }

@@ -1,6 +1,5 @@
 #include "core/sparse_isvd.h"
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,15 +29,16 @@ using Part = SparseEndpointMap::Part;
 // Per-store helpers: everything the strategies below do differently on the
 // CSR SparseIntervalMatrix and on the ShardedSparseIntervalMatrix.
 //
-// The CSR store honours GramSide and materializes the transpose its
-// operators read (charged to preprocess): always for the ISVD0/ISVD1
-// endpoint maps, and for the Gram operator only on the two-pass scalar and
-// SELL backends. The sharded store always
-// eigendecomposes MᵀM (ShardedGramOperator is M_eᵀ(M_e x) by construction)
-// and never materializes a transposed store — transpose actions run as
-// shard scatter reductions — so GramSide::kMMt / kAuto collapse to kMtM.
-// Wide matrices that would have preferred MMᵀ pay a cols² scratch; an
-// out-of-core store cannot afford a second copy of itself.
+// Neither store builds a transpose for its operators: the Golub–Kahan maps
+// of ISVD0/ISVD1 scatter M_eᵀ u from the rows, and the Gram operators of
+// ISVD2–ISVD4 apply M_eᵀ (M_e x) in one fused pass. The CSR store honours
+// GramSide: on kMMt, ComputeGramEig transposes M† once to get its working
+// matrix, and the strategies then run their working-matrix products as the
+// transposed products of M† itself. The sharded store always
+// eigendecomposes MᵀM and never materializes a transposed store, so
+// GramSide::kMMt / kAuto collapse to kMtM. Wide matrices that would have
+// preferred MMᵀ pay a cols² scratch; an out-of-core store cannot afford a
+// second copy of itself.
 // ---------------------------------------------------------------------------
 
 GramSide ResolveSide(const SparseIntervalMatrix& m, GramSide side) {
@@ -64,68 +64,59 @@ const SparseIntervalMatrix& BindWork(const SparseIntervalMatrix& m,
 const ShardedSparseIntervalMatrix& BindWork(
     const ShardedSparseIntervalMatrix& m, bool transposed,
     ShardedSparseIntervalMatrix& /*storage*/) {
-  IVMF_CHECK_MSG(!transposed,
-                 "a sharded store only runs a GramEig computed on MᵀM");
+  IVMF_CHECK(!transposed);  // ResolveSide never picks kMMt here
   return m;
 }
 
-// The transpose the operators read. CSR builds it once and charges it to
-// `*seconds`; the sharded store has none, and `*seconds` stays untouched.
-struct NoTranspose {};
+// The strategies take a GramEig of either side on CSR, and only an MᵀM one
+// on the sharded store; this is the one check of that, so the sharded
+// WorkTimes below may assume an untransposed GramEig.
+void CheckGramSide(const SparseIntervalMatrix&, const GramEig&) {}
 
-SparseIntervalMatrix OperatorTranspose(const SparseIntervalMatrix& m,
-                                       double* seconds) {
-  Stopwatch sw;
-  SparseIntervalMatrix mt = m.Transpose();
-  *seconds = sw.Seconds();
-  return mt;
+void CheckGramSide(const ShardedSparseIntervalMatrix&, const GramEig& gram) {
+  IVMF_CHECK_MSG(!gram.transposed,
+                 "a sharded store only runs a GramEig computed on MᵀM");
 }
 
-NoTranspose OperatorTranspose(const ShardedSparseIntervalMatrix&, double*) {
-  return {};
-}
-
-// The transpose the Gram operator reads: none on the fused AVX2 route,
-// which applies M_eᵀ (M_e x) in one pass over the rows of `m`.
-std::optional<SparseIntervalMatrix> GramTranspose(const SparseIntervalMatrix& m,
-                                                  double* seconds) {
-  if (!SparseGramOperator::ReadsTranspose(m)) return std::nullopt;
-  return OperatorTranspose(m, seconds);
-}
-
-NoTranspose GramTranspose(const ShardedSparseIntervalMatrix&, double*) {
-  return {};
-}
-
-SparseEndpointMap EndpointMap(const SparseIntervalMatrix& m,
-                              const SparseIntervalMatrix& mt, Part part) {
-  return SparseEndpointMap(m, mt, part);
+SparseEndpointMap EndpointMap(const SparseIntervalMatrix& m, Part part) {
+  return SparseEndpointMap(m, part);
 }
 
 ShardedEndpointMap EndpointMap(const ShardedSparseIntervalMatrix& m,
-                               NoTranspose, Part part) {
+                               Part part) {
   return ShardedEndpointMap(m, part);
 }
 
-SparseGramOperator GramOperator(const SparseIntervalMatrix& m,
-                                const std::optional<SparseIntervalMatrix>& mt,
-                                Endpoint e) {
-  return mt ? SparseGramOperator(m, *mt, e) : SparseGramOperator(m, e);
+SparseGramOperator GramOperator(const SparseIntervalMatrix& m, Endpoint e) {
+  return SparseGramOperator(m, e);
 }
 
 ShardedGramOperator GramOperator(const ShardedSparseIntervalMatrix& m,
-                                 NoTranspose, Endpoint e) {
+                                 Endpoint e) {
   return ShardedGramOperator(m, e);
 }
 
-// workᵀ B, the ISVD4 recompute product, where work = m (or mᵀ when
-// `transposed`). Both stores scatter it from the rows of m; on the CSR kMMt
-// route workᵀ is m itself, so it is a forward product.
+// The working-matrix products of ISVD2–ISVD4, where work = m (or mᵀ when
+// `transposed`, the CSR kMMt route). Each runs on m itself: a forward
+// product, or the row scatter of the transposed one, so the strategies
+// need no transpose of their own.
 template <typename SparseMat>
-IntervalMatrix WorkTransposeTimes(const SparseMat& m, bool transposed,
-                                  const Matrix& b) {
-  if (transposed) return m.IntervalMultiplyDense(b);
-  return m.IntervalMultiplyDenseTranspose(b);
+IntervalMatrix WorkTimes(const SparseMat& m, bool transposed,
+                         const Matrix& b) {
+  return transposed ? m.IntervalMultiplyDenseTranspose(b)
+                    : m.IntervalMultiplyDense(b);
+}
+
+// The single-endpoint work B of ISVD2's left-factor recovery.
+Matrix WorkTimes(const SparseIntervalMatrix& m, bool transposed, Endpoint e,
+                 const Matrix& b) {
+  return transposed ? m.MultiplyDenseTranspose(e, b) : m.MultiplyDense(e, b);
+}
+
+Matrix WorkTimes(const ShardedSparseIntervalMatrix& m,
+                 bool /*transposed: false, see CheckGramSide*/, Endpoint e,
+                 const Matrix& b) {
+  return m.MultiplyDense(e, b);
 }
 
 Matrix DenseGram(const SparseIntervalMatrix& m, Endpoint e) {
@@ -171,11 +162,12 @@ IsvdResult EmptyResult(const SparseMat& m, DecompositionTarget target) {
   return result;
 }
 
-// Sparse counterpart of the SVD identity U = M V Σ⁻¹.
+// Sparse counterpart of the SVD identity U = M V Σ⁻¹, on the working
+// matrix (see WorkTimes).
 template <typename SparseMat>
-Matrix RecoverLeftFactor(const SparseMat& m, Endpoint e, const Matrix& v,
-                         const std::vector<double>& sigma) {
-  Matrix u = m.MultiplyDense(e, v);  // n x r
+Matrix RecoverLeftFactor(const SparseMat& m, bool transposed, Endpoint e,
+                         const Matrix& v, const std::vector<double>& sigma) {
+  Matrix u = WorkTimes(m, transposed, e, v);  // n x r
   ScaleColumnsByInverseSigma(u, sigma);
   return u;
 }
@@ -210,7 +202,7 @@ struct SolvedLeft {
 };
 
 template <typename SparseMat>
-SolvedLeft SolveLeftFactor(const SparseMat& work, const GramEig& gram,
+SolvedLeft SolveLeftFactor(const SparseMat& m, const GramEig& gram,
                            const IsvdOptions& options) {
   SolvedLeft out;
   out.timings.preprocess = gram.preprocess_seconds;
@@ -237,7 +229,7 @@ SolvedLeft SolveLeftFactor(const SparseMat& work, const GramEig& gram,
   const Matrix vt_inv =
       RobustInverse(v_avg.Transpose(), options.cond_threshold);  // m x r
   out.sigma_inv = Matrix::Diagonal(InverseIntervalDiagonal(out.sigma));
-  out.u = work.IntervalMultiplyDense(vt_inv * out.sigma_inv);
+  out.u = WorkTimes(m, gram.transposed, vt_inv * out.sigma_inv);
   out.timings.solve = sw.Seconds();
   return out;
 }
@@ -252,10 +244,9 @@ IsvdResult Isvd0Impl(const SparseMat& m, size_t rank,
   if (m.empty()) return EmptyResult(m, DecompositionTarget::kC);
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
   PhaseTimings timings;
-  const auto mt = OperatorTranspose(m, &timings.preprocess);
 
   Stopwatch sw;
-  const auto mid = EndpointMap(m, mt, Part::kMid);
+  const auto mid = EndpointMap(m, Part::kMid);
   // ISVD0's single midpoint solve reads the lo warm-basis slot.
   const SvdResult svd = ComputeLanczosSvd(mid, r, SideLanczos(options, false));
   timings.decompose = sw.Seconds();
@@ -285,16 +276,14 @@ IsvdResult Isvd1Impl(const SparseMat& m, size_t rank,
   if (m.empty()) return EmptyResult(m, options.target);
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
   PhaseTimings timings;
-  const auto mt = OperatorTranspose(m, &timings.preprocess);
 
-  // Independent endpoint decompositions run on two threads, sharing the
-  // CSR transpose. The endpoint maps consume the endpoint values directly,
-  // so signed matrices need no special casing here.
+  // Independent endpoint decompositions run on two threads. The endpoint
+  // maps consume the endpoint values directly, so signed matrices need no
+  // special casing here.
   Stopwatch sw;
   SvdResult lo, hi;
   ParallelFor(0, 2, [&](size_t side) {
-    const auto map =
-        EndpointMap(m, mt, side == 0 ? Part::kLower : Part::kUpper);
+    const auto map = EndpointMap(m, side == 0 ? Part::kLower : Part::kUpper);
     (side == 0 ? lo : hi) =
         ComputeLanczosSvd(map, r, SideLanczos(options, side == 1));
   });
@@ -376,16 +365,13 @@ GramEig ComputeGramEigImpl(const SparseMat& m, size_t rank,
     return result;
   }
 
-  // Matrix-free route: the Gram matrix is never formed. On the two-pass CSR
-  // backends, building the shared transpose once is the whole preprocess
-  // phase; the fused AVX2 CSR route and the sharded store run each Lanczos
-  // step as one pass over the rows and have no preprocess phase to charge.
-  const auto work_t = GramTranspose(work, &result.preprocess_seconds);
-
+  // Matrix-free route: neither the Gram matrix nor a transpose is formed.
+  // Each Lanczos step is one fused pass over the rows of the working
+  // matrix, so there is no preprocess phase to charge.
   Stopwatch sw;
   ParallelFor(0, 2, [&](size_t side) {
     const Endpoint e = side == 0 ? Endpoint::kLower : Endpoint::kUpper;
-    const auto op = GramOperator(work, work_t, e);
+    const auto op = GramOperator(work, e);
     EigResult& out = side == 0 ? result.lo : result.hi;
     out = ComputeLanczosEig(op, r, SideLanczos(options, side == 1));
   });
@@ -405,8 +391,7 @@ template <typename SparseMat>
 IsvdResult Isvd2Impl(const SparseMat& m, const GramEig& gram,
                      const IsvdOptions& options) {
   if (m.empty()) return EmptyResult(m, options.target);
-  SparseMat work_storage;
-  const SparseMat& work = BindWork(m, gram.transposed, work_storage);
+  CheckGramSide(m, gram);
   PhaseTimings timings;
   timings.preprocess = gram.preprocess_seconds;
   timings.decompose = gram.decompose_seconds;
@@ -417,8 +402,10 @@ IsvdResult Isvd2Impl(const SparseMat& m, const GramEig& gram,
   std::vector<double> s_hi = SqrtClamped(gram.hi.eigenvalues);
 
   Stopwatch sw;
-  Matrix u_lo = RecoverLeftFactor(work, Endpoint::kLower, v_lo, s_lo);
-  Matrix u_hi = RecoverLeftFactor(work, Endpoint::kUpper, v_hi, s_hi);
+  Matrix u_lo =
+      RecoverLeftFactor(m, gram.transposed, Endpoint::kLower, v_lo, s_lo);
+  Matrix u_hi =
+      RecoverLeftFactor(m, gram.transposed, Endpoint::kUpper, v_hi, s_hi);
   timings.solve = sw.Seconds();
 
   sw.Restart();
@@ -439,9 +426,8 @@ template <typename SparseMat>
 IsvdResult Isvd3Impl(const SparseMat& m, const GramEig& gram,
                      const IsvdOptions& options) {
   if (m.empty()) return EmptyResult(m, options.target);
-  SparseMat work_storage;
-  const SparseMat& work = BindWork(m, gram.transposed, work_storage);
-  SolvedLeft solved = SolveLeftFactor(work, gram, options);
+  CheckGramSide(m, gram);
+  SolvedLeft solved = SolveLeftFactor(m, gram, options);
   IsvdResult result =
       BuildResult(std::move(solved.u), std::move(solved.sigma),
                   std::move(solved.v), options.target, solved.timings);
@@ -453,9 +439,8 @@ template <typename SparseMat>
 IsvdResult Isvd4Impl(const SparseMat& m, const GramEig& gram,
                      const IsvdOptions& options) {
   if (m.empty()) return EmptyResult(m, options.target);
-  SparseMat work_storage;
-  const SparseMat& work = BindWork(m, gram.transposed, work_storage);
-  SolvedLeft solved = SolveLeftFactor(work, gram, options);
+  CheckGramSide(m, gram);
+  SolvedLeft solved = SolveLeftFactor(m, gram, options);
 
   // Recompute V† from the solved U† (Section 4.5.1). The scalar prefix
   // S = Σ†⁻¹ (U†ᵀ)⁻¹ is r x n, so V† = (S M†)ᵀ is evaluated as M†ᵀ Sᵀ —
@@ -466,7 +451,7 @@ IsvdResult Isvd4Impl(const SparseMat& m, const GramEig& gram,
   const Matrix u_inv = RobustInverse(u_avg, options.cond_threshold);  // r x n
   const Matrix s_t = (solved.sigma_inv * u_inv).Transpose();          // n x r
   const IntervalMatrix v_recomputed =
-      WorkTransposeTimes(m, gram.transposed, s_t);
+      WorkTimes(m, !gram.transposed, s_t);  // workᵀ Sᵀ
   solved.timings.recompute = sw.Seconds();
 
   IsvdResult result =

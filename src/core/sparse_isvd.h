@@ -41,8 +41,10 @@
 //    eigendecomposes MᵀM and ignores options.gram_side: it never
 //    materializes a transposed store (transpose actions run as shard
 //    scatter reductions), which an out-of-core store could not afford.
-//  - Preprocess. The CSR store builds the transpose its operators read and
-//    charges it to timings.preprocess; the sharded store has none to build.
+//  - Transposes. Neither store builds one for its operators: transposed
+//    actions run as row (or shard) scatter reductions and the Gram apply
+//    is one fused pass, so the Lanczos routes have no preprocess phase. On
+//    kMMt the CSR store transposes M† once in ComputeGramEig.
 //  - Execution. Every O(nnz) pass on the sharded store runs shard-parallel
 //    and streams mmap'd segment files when the store is disk-backed, which
 //    is the out-of-core decompose path (bench/fig10_outofcore).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace ivmf {
 
@@ -150,44 +151,104 @@ SparseIntervalMatrix SparseCfIntervalMatrix(const SparseRatingsData& data,
                                             double alpha) {
   const size_t n = data.num_users;
   const size_t m = data.num_items;
+  const size_t nnz = data.triplets.size();
 
   // Row-major order reproduces the dense CfIntervalMatrix's accumulation
-  // order exactly, so the two constructions agree bit-for-bit.
-  std::vector<RatingTriplet> sorted = data.triplets;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const RatingTriplet& a, const RatingTriplet& b) {
-              return a.user != b.user ? a.user < b.user : a.item < b.item;
-            });
+  // order exactly, so the two constructions agree bit-for-bit. A stable
+  // counting sort by user lays the ratings out straight into CSR arrays;
+  // rows whose items arrive out of order are sorted in place (stably, so
+  // duplicates keep their input order).
+  std::vector<size_t> row_ptr(n + 1, 0);
+  for (const RatingTriplet& t : data.triplets) {
+    IVMF_CHECK_MSG(t.user < n && t.item < m,
+                   "rating triplet outside the matrix shape");
+    ++row_ptr[t.user + 1];
+  }
+  for (size_t i = 0; i < n; ++i) row_ptr[i + 1] += row_ptr[i];
+  std::vector<size_t> col_idx(nnz);
+  std::vector<double> rating(nnz);
+  {
+    std::vector<size_t> next(row_ptr.begin(), row_ptr.end() - 1);
+    for (const RatingTriplet& t : data.triplets) {
+      const size_t dst = next[t.user]++;
+      col_idx[dst] = t.item;
+      rating[dst] = t.rating;
+    }
+  }
+  std::vector<std::pair<size_t, double>> row;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t begin = row_ptr[i];
+    const size_t end = row_ptr[i + 1];
+    if (std::is_sorted(col_idx.begin() + begin, col_idx.begin() + end)) {
+      continue;
+    }
+    row.clear();
+    for (size_t k = begin; k < end; ++k) {
+      row.emplace_back(col_idx[k], rating[k]);
+    }
+    std::stable_sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (size_t k = begin; k < end; ++k) {
+      col_idx[k] = row[k - begin].first;
+      rating[k] = row[k - begin].second;
+    }
+  }
 
   std::vector<double> row_sum(n, 0.0), row_sumsq(n, 0.0);
   std::vector<double> col_sum(m, 0.0), col_sumsq(m, 0.0);
   std::vector<size_t> row_count(n, 0), col_count(m, 0);
-  for (const RatingTriplet& t : sorted) {
-    const double x = t.rating;
-    row_sum[t.user] += x;
-    row_sumsq[t.user] += x * x;
-    ++row_count[t.user];
-    col_sum[t.item] += x;
-    col_sumsq[t.item] += x * x;
-    ++col_count[t.item];
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const double x = rating[k];
+      row_sum[i] += x;
+      row_sumsq[i] += x * x;
+      ++row_count[i];
+      col_sum[col_idx[k]] += x;
+      col_sumsq[col_idx[k]] += x * x;
+      ++col_count[col_idx[k]];
+    }
   }
 
-  std::vector<IntervalTriplet> cells;
-  cells.reserve(sorted.size());
-  for (const RatingTriplet& t : sorted) {
-    const double x = t.rating;
-    // S_ij = row i ∪ column j observations; the shared entry (i, j) is
-    // counted once.
-    const double count =
-        static_cast<double>(row_count[t.user] + col_count[t.item] - 1);
-    const double sum = row_sum[t.user] + col_sum[t.item] - x;
-    const double sumsq = row_sumsq[t.user] + col_sumsq[t.item] - x * x;
-    const double mean = sum / count;
-    const double var = std::max(0.0, sumsq / count - mean * mean);
-    const double delta = alpha * std::sqrt(var);
-    cells.push_back({t.user, t.item, Interval(x - delta, x + delta)});
+  // Each rating becomes [x - δ, x + δ] in place (the rating array turns
+  // into the lower endpoints); a duplicated (user, item) cell merges to the
+  // interval hull of its observations, as FromTriplets would.
+  std::vector<double> hi(nnz);
+  std::vector<double>& lo = rating;
+  size_t out = 0;
+  size_t row_begin = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = row_begin; k < row_ptr[i + 1]; ++k) {
+      const size_t j = col_idx[k];
+      const double x = lo[k];
+      // S_ij = row i ∪ column j observations; the shared entry (i, j) is
+      // counted once.
+      const double count = static_cast<double>(row_count[i] + col_count[j] - 1);
+      const double sum = row_sum[i] + col_sum[j] - x;
+      const double sumsq = row_sumsq[i] + col_sumsq[j] - x * x;
+      const double mean = sum / count;
+      const double var = std::max(0.0, sumsq / count - mean * mean);
+      const double delta = alpha * std::sqrt(var);
+      const bool duplicate = out > 0 && k > row_begin && col_idx[out - 1] == j;
+      if (duplicate) {
+        lo[out - 1] = std::min(lo[out - 1], x - delta);
+        hi[out - 1] = std::max(hi[out - 1], x + delta);
+        continue;
+      }
+      col_idx[out] = j;
+      lo[out] = x - delta;
+      hi[out] = x + delta;
+      ++out;
+    }
+    row_begin = row_ptr[i + 1];
+    row_ptr[i + 1] = out;
   }
-  return SparseIntervalMatrix::FromTriplets(n, m, std::move(cells));
+  col_idx.resize(out);
+  lo.resize(out);
+  hi.resize(out);
+  return SparseIntervalMatrix::FromCsr(n, m, std::move(row_ptr),
+                                       std::move(col_idx), std::move(lo),
+                                       std::move(hi));
 }
 
 CfSplit SplitRatings(const RatingsData& data, double test_fraction, Rng& rng) {

@@ -721,12 +721,22 @@ void ShardedSparseIntervalMatrix::MultiplyTranspose(
   IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
   static ShardedKernelCounters counters("multiply_transpose");
   counters.Count(shards_.size(), rows_, nnz_);
+  const bool avx2 = csr_variant_ == spk::Backend::kAvx2;
   ReduceOverShards(
       cols_,
       [&](const SegRef& seg, double* p0, double* /*p1*/) {
         const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
-        spk::MatVecTPackedScalar(seg.view, v, x.data() + seg.offset, p0,
-                                 seg.row_begin, seg.row_end);
+        const double* xs = x.data() + seg.offset;
+        if (seg.sell != nullptr) {
+          seg.sell->MatVecT(e == Endpoint::kUpper, xs, p0, 0,
+                            seg.sell->chunks());
+        } else if (avx2) {
+          spk::MatVecTPackedAvx2(seg.view, v, xs, p0, seg.row_begin,
+                                 seg.row_end);
+        } else {
+          spk::MatVecTPackedScalar(seg.view, v, xs, p0, seg.row_begin,
+                                   seg.row_end);
+        }
       },
       &y, nullptr);
 }
@@ -740,9 +750,13 @@ void ShardedSparseIntervalMatrix::MultiplyTransposeMid(
   ReduceOverShards(
       cols_,
       [&](const SegRef& seg, double* p0, double* /*p1*/) {
-        spk::MatVecTMidPackedScalar(seg.view, seg.lo, seg.hi,
-                                    x.data() + seg.offset, p0, seg.row_begin,
-                                    seg.row_end);
+        const double* xs = x.data() + seg.offset;
+        if (seg.sell != nullptr) {
+          seg.sell->MatVecTMid(xs, p0, 0, seg.sell->chunks());
+        } else {
+          spk::MatVecTMidPackedScalar(seg.view, seg.lo, seg.hi, xs, p0,
+                                      seg.row_begin, seg.row_end);
+        }
       },
       &y, nullptr);
 }
@@ -759,7 +773,10 @@ void ShardedSparseIntervalMatrix::GramMultiply(Endpoint e,
       cols_,
       [&](const SegRef& seg, double* p0, double* /*p1*/) {
         const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
-        if (avx2) {
+        if (seg.sell != nullptr) {
+          seg.sell->GramMultiply(e == Endpoint::kUpper, x.data(), p0, 0,
+                                 seg.sell->chunks());
+        } else if (avx2) {
           spk::GramFusedPackedAvx2(seg.view, v, x.data(), p0, seg.row_begin,
                                    seg.row_end);
         } else {
@@ -781,14 +798,20 @@ IntervalMatrix ShardedSparseIntervalMatrix::IntervalMultiplyDenseTranspose(
   }
   static ShardedKernelCounters counters("multiply_dense_t_both");
   counters.Count(shards_.size(), rows_, nnz_);
+  const bool avx2 = csr_variant_ == spk::Backend::kAvx2;
   std::vector<double> acc_lo;
   std::vector<double> acc_hi;
   ReduceOverShards(
       cols_ * bcols,
       [&](const SegRef& seg, double* p0, double* p1) {
-        spk::MatDenseTBothPackedScalar(seg.view, seg.lo, seg.hi,
-                                       b.data() + seg.offset * bcols, bcols,
+        const double* bs = b.data() + seg.offset * bcols;
+        if (avx2) {
+          spk::MatDenseTBothPackedAvx2(seg.view, seg.lo, seg.hi, bs, bcols,
                                        p0, p1, seg.row_begin, seg.row_end);
+        } else {
+          spk::MatDenseTBothPackedScalar(seg.view, seg.lo, seg.hi, bs, bcols,
+                                         p0, p1, seg.row_begin, seg.row_end);
+        }
       },
       &acc_lo, &acc_hi);
   for (size_t i = 0; i < cols_; ++i) {

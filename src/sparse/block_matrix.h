@@ -306,34 +306,12 @@ class ShardedEndpointMap final : public LinearMap {
 
   void Apply(const std::vector<double>& x,
              std::vector<double>& y) const override {
-    switch (part_) {
-      case Part::kLower:
-        m_.Multiply(ShardedSparseIntervalMatrix::Endpoint::kLower, x, y);
-        break;
-      case Part::kUpper:
-        m_.Multiply(ShardedSparseIntervalMatrix::Endpoint::kUpper, x, y);
-        break;
-      case Part::kMid:
-        m_.MultiplyMid(x, y);
-        break;
-    }
+    SparseEndpointMap::ApplyPart(m_, part_, /*transpose=*/false, x, y);
   }
 
   void ApplyTranspose(const std::vector<double>& x,
                       std::vector<double>& y) const override {
-    switch (part_) {
-      case Part::kLower:
-        m_.MultiplyTranspose(ShardedSparseIntervalMatrix::Endpoint::kLower, x,
-                             y);
-        break;
-      case Part::kUpper:
-        m_.MultiplyTranspose(ShardedSparseIntervalMatrix::Endpoint::kUpper, x,
-                             y);
-        break;
-      case Part::kMid:
-        m_.MultiplyTransposeMid(x, y);
-        break;
-    }
+    SparseEndpointMap::ApplyPart(m_, part_, /*transpose=*/true, x, y);
   }
 
  private:

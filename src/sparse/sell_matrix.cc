@@ -109,4 +109,26 @@ void SellPack::MatVecMid(const double* x, double* y) const {
   });
 }
 
+void SellPack::MatVecT(bool upper, const double* x, double* y,
+                       size_t chunk_begin, size_t chunk_end) const {
+  spk::SellMatVecTScalar(View(), upper ? hi_.data() : lo_.data(), x, y,
+                         chunk_begin, chunk_end);
+}
+
+void SellPack::MatVecTMid(const double* x, double* y, size_t chunk_begin,
+                          size_t chunk_end) const {
+  spk::SellMatVecTMidScalar(View(), lo_.data(), hi_.data(), x, y, chunk_begin,
+                            chunk_end);
+}
+
+void SellPack::GramMultiply(bool upper, const double* x, double* y,
+                            size_t chunk_begin, size_t chunk_end) const {
+  const double* v = upper ? hi_.data() : lo_.data();
+  if (use_avx2_) {
+    spk::SellGramFusedAvx2(View(), v, x, y, chunk_begin, chunk_end);
+  } else {
+    spk::SellGramFusedScalar(View(), v, x, y, chunk_begin, chunk_end);
+  }
+}
+
 }  // namespace ivmf

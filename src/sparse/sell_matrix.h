@@ -20,9 +20,11 @@
 //
 // SellPack is an immutable sidecar built from CSR arrays (see
 // SparseIntervalMatrix::set_kernel; the CSR arrays stay resident for the
-// kernels SELL does not cover). Supported kernels: MatVec and MatVecMid.
-// Padded lanes multiply value 0 by x[0], so inputs must be finite (see the
-// contract in sparse_kernels.h).
+// dense products SELL does not cover). Supported kernels: the forward
+// MatVec / MatVecMid, their transpose scatters, and the fused Gram — so a
+// SELL matrix needs no transpose for any Krylov solve. Padded lanes
+// multiply value 0 by x[0], so inputs must be finite (see the contract in
+// sparse_kernels.h).
 
 #ifndef IVMF_SPARSE_SELL_MATRIX_H_
 #define IVMF_SPARSE_SELL_MATRIX_H_
@@ -55,6 +57,15 @@ class SellPack {
   size_t padded_slots() const { return col_.size(); }
   size_t padded_entries() const { return col_.size() - nnz_; }
 
+  // The kernel view and an endpoint's padded values, for direct calls of
+  // the spk::Sell* kernels (the differential tests run both variants).
+  spk::SellView View() const {
+    return {chunks(), chunk_ptr_.data(), col_.data(), perm_.data()};
+  }
+  const std::vector<double>& values(bool upper) const {
+    return upper ? hi_ : lo_;
+  }
+
   // y = A_e x (y has rows() entries, fully overwritten). `upper` selects
   // the endpoint array. Chunk-parallel; deterministic for a fixed machine.
   void MatVec(bool upper, const double* x, double* y) const;
@@ -62,11 +73,24 @@ class SellPack {
   // y = ((A_* + A^*) / 2) x fused over the shared padded pattern.
   void MatVecMid(const double* x, double* y) const;
 
- private:
-  spk::SellView View() const {
-    return {chunks(), chunk_ptr_.data(), col_.data(), perm_.data()};
-  }
+  // The reduction kernels run serially over chunks [chunk_begin,
+  // chunk_end) and accumulate into y (cols() entries); the caller
+  // zero-fills y or reduces per-worker partials, and picks the chunk
+  // ranges (SparseIntervalMatrix's ScatterRows, or one range per shard).
+  //
+  // y += A_eᵀ x over the chunks' rows (x has rows() entries).
+  void MatVecT(bool upper, const double* x, double* y, size_t chunk_begin,
+               size_t chunk_end) const;
 
+  // y += ((A_* + A^*) / 2)ᵀ x.
+  void MatVecTMid(const double* x, double* y, size_t chunk_begin,
+                  size_t chunk_end) const;
+
+  // y += A_eᵀ (A_e x) (x has cols() entries), one pass over the chunks.
+  void GramMultiply(bool upper, const double* x, double* y,
+                    size_t chunk_begin, size_t chunk_end) const;
+
+ private:
   template <typename ChunkFn>
   void ForChunkBlocks(ChunkFn&& fn) const;
 

@@ -8,8 +8,8 @@
 //    the four products are monotone in the entries, so the min/max collapse
 //    to M_*ᵀ M_* and M^*ᵀ M^*. Each is a fixed bilinear form, and
 //    SparseGramOperator applies y = M_eᵀ (M_e x) in O(nnz) per Lanczos step
-//    — one fused pass over the rows on AVX2, two CSR passes elsewhere — so
-//    the Gram matrix is never materialized.
+//    — one fused pass over the rows (or SELL chunks) — so neither the Gram
+//    matrix nor a transpose is ever materialized.
 //
 //  - Signed M†: the minimizing product varies per Gram entry (it depends on
 //    full column inner products), so the Algorithm-1 endpoints are
@@ -23,7 +23,18 @@
 //
 // ISVD0/ISVD1 need no Gram at all: SparseEndpointMap exposes an endpoint
 // (or the midpoint) matrix as a rectangular LinearMap for the Golub–Kahan–
-// Lanczos SVD, again O(nnz) per step.
+// Lanczos SVD, again O(nnz) per step, with the transposed action as a row
+// scatter.
+//
+// Both classes also keep a form taking `mt`, a precomputed m.Transpose().
+// It reads `mt` only when m resolves to the scalar backend, where it runs
+// the literal two-pass composition (M_e x, then a forward product on `mt`)
+// — the reference route perfbench certifies against. On AVX2 and SELL it
+// behaves exactly like the transpose-free form and `mt` goes unread, yet
+// the caller has still paid for building it. The library itself builds no
+// transpose for these operators; new callers use the (m, e) / (m, part)
+// forms. The `mt` forms are deleted once perfbench moves to those (ROADMAP
+// item 4).
 
 #ifndef IVMF_SPARSE_SPARSE_GRAM_OPERATOR_H_
 #define IVMF_SPARSE_SPARSE_GRAM_OPERATOR_H_
@@ -41,18 +52,18 @@ namespace ivmf {
 // matrices (see the file comment); callers with signed data use
 // DenseGramEndpoints.
 //
-// When `mt` (the precomputed m.Transpose()) is read: on the AVX2 backend
-// Apply runs the one-pass fused m.GramMultiply and never reads it; the
-// scalar and SELL backends keep the literal two-pass composition and run
-// the second pass forward on `mt`. ReadsTranspose says which case a matrix
-// is in; the transpose-free constructor takes only matrices that read
-// none. Sparse ISVD2–ISVD4 builds `mt` only when it is read.
-//
 // Holds `m` (and `mt`) by reference; both must outlive the operator. Two
 // operators (one per endpoint) can share the same matrices and be applied
 // concurrently — Apply only touches per-instance scratch.
 class SparseGramOperator final : public LinearOperator {
  public:
+  SparseGramOperator(const SparseIntervalMatrix& m,
+                     SparseIntervalMatrix::Endpoint endpoint)
+      : m_(m), mt_(nullptr), endpoint_(endpoint) {}
+
+  // The reference form: two passes through `mt` on the scalar backend,
+  // the fused route (`mt` unread) elsewhere. Kept for perfbench only; see
+  // the file comment.
   SparseGramOperator(const SparseIntervalMatrix& m,
                      const SparseIntervalMatrix& mt,
                      SparseIntervalMatrix::Endpoint endpoint)
@@ -61,35 +72,17 @@ class SparseGramOperator final : public LinearOperator {
                    "mt must be the transpose of m");
   }
 
-  // The transpose-free form, for a matrix on the fused AVX2 backend.
-  SparseGramOperator(const SparseIntervalMatrix& m,
-                     SparseIntervalMatrix::Endpoint endpoint)
-      : m_(m), mt_(nullptr), endpoint_(endpoint) {
-    IVMF_CHECK_MSG(!ReadsTranspose(m),
-                   "the two-pass Gram backends need the transpose of m");
-  }
-
-  // True when Apply on `m` would read a supplied transpose: every backend
-  // but the fused AVX2 one.
-  static bool ReadsTranspose(const SparseIntervalMatrix& m) {
-    return spk::Resolve(m.ResolvedKernel()) != spk::Backend::kAvx2;
-  }
-
   size_t Dim() const override { return m_.cols(); }
 
   void Apply(const std::vector<double>& x,
              std::vector<double>& y) const override {
-    // On the AVX2 backend the one-pass fused Gram kernel halves memory
-    // traffic (the row feeds its dot and its scatter back-to-back while
-    // cache-hot). Other backends keep the literal two-pass composition —
-    // the scalar path stays the reference semantics the differential tests
-    // pin the fused kernels against.
-    if (!ReadsTranspose(m_)) {
-      m_.GramMultiply(endpoint_, x, y);
+    if (mt_ != nullptr &&
+        spk::Resolve(m_.ResolvedKernel()) == spk::Backend::kScalar) {
+      m_.Multiply(endpoint_, x, scratch_);    // scratch = M_e x   (n)
+      mt_->Multiply(endpoint_, scratch_, y);  // y = M_eᵀ scratch  (m)
       return;
     }
-    m_.Multiply(endpoint_, x, scratch_);     // scratch = M_e x   (n)
-    mt_->Multiply(endpoint_, scratch_, y);   // y = M_eᵀ scratch  (m)
+    m_.GramMultiply(endpoint_, x, y);
   }
 
   // The dense endpoint Gram matrix M_eᵀ M_e, accumulated row-by-row from the
@@ -108,24 +101,29 @@ class SparseGramOperator final : public LinearOperator {
 
  private:
   const SparseIntervalMatrix& m_;
-  const SparseIntervalMatrix* mt_;  // null when Apply reads none
+  const SparseIntervalMatrix* mt_;  // the reference form's transpose, or null
   SparseIntervalMatrix::Endpoint endpoint_;
   mutable std::vector<double> scratch_;
 };
 
 // An endpoint (or the midpoint) matrix of a sparse interval matrix as a
 // rectangular LinearMap — the input to the Golub–Kahan–Lanczos SVD behind
-// the sparse ISVD0/ISVD1. Holds `m` and `mt` (the precomputed
-// m.Transpose()) by reference; both must outlive the map. No sign
-// assumption: endpoint matrices are consumed directly, so signed data works
-// unchanged.
+// the sparse ISVD0/ISVD1. Holds `m` (and `mt`) by reference; both must
+// outlive the map. No sign assumption: endpoint matrices are consumed
+// directly, so signed data works unchanged.
 class SparseEndpointMap final : public LinearMap {
  public:
   enum class Part { kLower, kUpper, kMid };
 
+  SparseEndpointMap(const SparseIntervalMatrix& m, Part part)
+      : m_(m), mt_(nullptr), part_(part) {}
+
+  // The reference form: ApplyTranspose runs forward on `mt` on the scalar
+  // backend, and scatters from the rows of `m` (`mt` unread) elsewhere.
+  // Kept for perfbench only; see the file comment.
   SparseEndpointMap(const SparseIntervalMatrix& m,
                     const SparseIntervalMatrix& mt, Part part)
-      : m_(m), mt_(mt), part_(part) {
+      : m_(m), mt_(&mt), part_(part) {
     IVMF_CHECK_MSG(mt.rows() == m.cols() && mt.cols() == m.rows(),
                    "mt must be the transpose of m");
   }
@@ -135,32 +133,45 @@ class SparseEndpointMap final : public LinearMap {
 
   void Apply(const std::vector<double>& x,
              std::vector<double>& y) const override {
-    Multiply(m_, x, y);
+    ApplyPart(m_, part_, /*transpose=*/false, x, y);
   }
 
   void ApplyTranspose(const std::vector<double>& x,
                       std::vector<double>& y) const override {
-    Multiply(mt_, x, y);
+    if (mt_ != nullptr &&
+        spk::Resolve(m_.ResolvedKernel()) == spk::Backend::kScalar) {
+      ApplyPart(*mt_, part_, /*transpose=*/false, x, y);
+      return;
+    }
+    ApplyPart(m_, part_, /*transpose=*/true, x, y);
   }
 
- private:
-  void Multiply(const SparseIntervalMatrix& m, const std::vector<double>& x,
-                std::vector<double>& y) const {
-    switch (part_) {
-      case Part::kLower:
-        m.Multiply(SparseIntervalMatrix::Endpoint::kLower, x, y);
-        break;
-      case Part::kUpper:
-        m.Multiply(SparseIntervalMatrix::Endpoint::kUpper, x, y);
-        break;
-      case Part::kMid:
+  // y = P x, or y = Pᵀ x when `transpose`, for the part P of `m` on either
+  // store (ShardedEndpointMap runs the sharded store through here).
+  template <typename SparseMat>
+  static void ApplyPart(const SparseMat& m, Part part, bool transpose,
+                        const std::vector<double>& x, std::vector<double>& y) {
+    if (part == Part::kMid) {
+      if (transpose) {
+        m.MultiplyTransposeMid(x, y);
+      } else {
         m.MultiplyMid(x, y);
-        break;
+      }
+      return;
+    }
+    const SparseIntervalMatrix::Endpoint e =
+        part == Part::kLower ? SparseIntervalMatrix::Endpoint::kLower
+                             : SparseIntervalMatrix::Endpoint::kUpper;
+    if (transpose) {
+      m.MultiplyTranspose(e, x, y);
+    } else {
+      m.Multiply(e, x, y);
     }
   }
 
+ private:
   const SparseIntervalMatrix& m_;
-  const SparseIntervalMatrix& mt_;
+  const SparseIntervalMatrix* mt_;  // the reference form's transpose, or null
   Part part_;
 };
 

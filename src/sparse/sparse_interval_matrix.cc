@@ -78,26 +78,30 @@ void ForRowBlocks(size_t rows, size_t min_rows, Fn&& fn) {
       /*min_items_per_thread=*/min_blocks > 0 ? min_blocks : 1);
 }
 
-// Runs an accumulating row scatter fn(out0, out1, row_begin, row_end) over
-// rows [0, rows) into out0 (and out1, when non-null), `len` doubles each.
-// Each worker scatters its block of rows into private accumulators, then
-// the accumulators reduce in fixed worker order, in parallel over entries.
-// A worker takes at least kMinRowsPerThread rows, and the workers'
-// accumulators together never take more memory than a transpose of the
-// matrix would (nnz x 24 bytes: index and both endpoints), so a wide
-// product runs on fewer workers, down to one that scatters straight into
-// the outputs. The partitioning depends only on the shape and hardware
-// concurrency, so repeated calls are bit-identical.
+// Runs an accumulating scatter fn(out0, out1, begin, end) over items
+// [0, items) — CSR rows, or SELL chunks — into out0 (and out1, when
+// non-null), `len` doubles each. Each worker scatters its block of items
+// into private accumulators, then the accumulators reduce in fixed worker
+// order, in parallel over entries. A worker takes at least
+// `min_items_per_thread` items, and the workers' accumulators together
+// never take more memory than a transpose of the matrix would (nnz x 24
+// bytes: index and both endpoints), so a wide product runs on fewer
+// workers, down to one that scatters straight into the outputs. The
+// partitioning depends only on the shape and hardware concurrency, so
+// repeated calls are bit-identical.
+constexpr size_t kMinRowsPerThread = 2048;
+
 template <typename ScatterFn>
-void ScatterRows(size_t rows, size_t nnz, size_t len, double* out0,
-                 double* out1, ScatterFn&& scatter) {
-  constexpr size_t kMinRowsPerThread = 2048;
+void ScatterRows(size_t items, size_t min_items_per_thread, size_t nnz,
+                 size_t len, double* out0, double* out1,
+                 ScatterFn&& scatter) {
   constexpr size_t kTransposeBytesPerNnz =
       sizeof(size_t) + 2 * sizeof(double);
   const size_t outs = out1 != nullptr ? 2 : 1;
-  size_t threads = SuggestedThreads(rows);
-  const size_t row_cap = (rows + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > row_cap) threads = row_cap;
+  size_t threads = SuggestedThreads(items);
+  const size_t item_cap =
+      (items + min_items_per_thread - 1) / min_items_per_thread;
+  if (threads > item_cap) threads = item_cap;
   if (len > 0) {
     const size_t memory_cap =
         nnz * kTransposeBytesPerNnz / (outs * len * sizeof(double));
@@ -106,12 +110,12 @@ void ScatterRows(size_t rows, size_t nnz, size_t len, double* out0,
   if (threads <= 1) {
     std::fill(out0, out0 + len, 0.0);
     if (out1 != nullptr) std::fill(out1, out1 + len, 0.0);
-    scatter(out0, out1, 0, rows);
+    scatter(out0, out1, 0, items);
     return;
   }
 
   std::vector<std::vector<double>> partials(threads * outs);
-  const size_t chunk = (rows + threads - 1) / threads;
+  const size_t chunk = (items + threads - 1) / threads;
   ParallelFor(
       0, threads,
       [&](size_t t) {
@@ -120,9 +124,9 @@ void ScatterRows(size_t rows, size_t nnz, size_t len, double* out0,
           partials[t * outs + o].assign(len, 0.0);
           parts[o] = partials[t * outs + o].data();
         }
-        const size_t row_begin = t * chunk;
-        const size_t row_end = std::min(rows, row_begin + chunk);
-        scatter(parts[0], parts[1], row_begin, row_end);
+        const size_t begin = t * chunk;
+        const size_t end = std::min(items, begin + chunk);
+        scatter(parts[0], parts[1], begin, end);
       },
       /*max_threads=*/threads);
   double* outputs[2] = {out0, out1};
@@ -451,29 +455,76 @@ void SparseIntervalMatrix::MultiplyMid(const std::vector<double>& x,
   });
 }
 
+template <typename SellFn, typename CsrFn>
+void SparseIntervalMatrix::ScatterToCols(spk::Backend backend, double* y,
+                                         SellFn&& sell_fn,
+                                         CsrFn&& csr_fn) const {
+  if (backend == spk::Backend::kSell) {
+    const SellPack& sell = EnsureSell();
+    ScatterRows(sell.chunks(), kMinRowsPerThread / spk::kSellC, nnz(), cols_,
+                y, nullptr,
+                [&](double* out, double*, size_t begin, size_t end) {
+                  sell_fn(sell, out, begin, end);
+                });
+    return;
+  }
+  ScatterRows(rows_, kMinRowsPerThread, nnz(), cols_, y, nullptr,
+              [&](double* out, double*, size_t begin, size_t end) {
+                csr_fn(out, begin, end);
+              });
+}
+
 void SparseIntervalMatrix::MultiplyTranspose(Endpoint e,
                                              const std::vector<double>& x,
                                              std::vector<double>& y) const {
   IVMF_CHECK(x.size() == rows_);
   IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
-  // SELL stores the forward pattern only; the scatter falls back to the
-  // dispatched CSR variant (AVX2 register-blocks the multiply — no scatter
-  // instruction exists pre-AVX512, so stores stay scalar).
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
+  // A row scatter over the layout the matrix holds: SELL chunks, the packed
+  // AVX2 rows, or the scalar reference.
+  const spk::Backend backend = spk::Resolve(ResolvedKernel());
   static VariantCounters counters("multiply_transpose");
   counters.For(backend).Count(rows_, nnz());
-  const std::vector<double>& v = values(e);
+  const bool upper = e == Endpoint::kUpper;
+  const double* v = values(e).data();
+  const bool avx2 = backend == spk::Backend::kAvx2;
+  const spk::PackedCsrView packed = avx2 ? PackedView() : spk::PackedCsrView{};
   const spk::CsrView view = View();
   y.resize(cols_);
-  ScatterRows(rows_, nnz(), cols_, y.data(), nullptr,
-              [&](double* out, double*, size_t begin, size_t end) {
-                if (backend == spk::Backend::kAvx2) {
-                  spk::MatVecTAvx2(view, v.data(), x.data(), out, begin, end);
-                } else {
-                  spk::MatVecTScalar(view, v.data(), x.data(), out, begin,
-                                     end);
-                }
-              });
+  ScatterToCols(
+      backend, y.data(),
+      [&](const SellPack& sell, double* out, size_t begin, size_t end) {
+        sell.MatVecT(upper, x.data(), out, begin, end);
+      },
+      [&](double* out, size_t begin, size_t end) {
+        if (avx2) {
+          spk::MatVecTPackedAvx2(packed, v, x.data(), out, begin, end);
+        } else {
+          spk::MatVecTScalar(view, v, x.data(), out, begin, end);
+        }
+      });
+}
+
+void SparseIntervalMatrix::MultiplyTransposeMid(const std::vector<double>& x,
+                                                std::vector<double>& y) const {
+  IVMF_CHECK(x.size() == rows_);
+  IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
+  const spk::Backend backend = spk::Resolve(ResolvedKernel());
+  static VariantCounters counters("multiply_transpose_mid");
+  counters.For(backend).Count(rows_, nnz());
+  // Scalar and AVX2 both run the packed scalar scatter (the scalar family
+  // has no size_t-index midpoint scatter; the association matches it).
+  const spk::PackedCsrView packed =
+      backend == spk::Backend::kSell ? spk::PackedCsrView{} : PackedView();
+  y.resize(cols_);
+  ScatterToCols(
+      backend, y.data(),
+      [&](const SellPack& sell, double* out, size_t begin, size_t end) {
+        sell.MatVecTMid(x.data(), out, begin, end);
+      },
+      [&](double* out, size_t begin, size_t end) {
+        spk::MatVecTMidPackedScalar(packed, lo_.data(), hi_.data(), x.data(),
+                                    out, begin, end);
+      });
 }
 
 void SparseIntervalMatrix::GramMultiply(Endpoint e,
@@ -483,27 +534,29 @@ void SparseIntervalMatrix::GramMultiply(Endpoint e,
   IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
   // One pass over the pattern: each row's dot against x scatters back scaled
   // by the row values while the row is cache-hot — half the memory traffic
-  // of Multiply + MultiplyTranspose. SELL stores forward-matvec kernels
-  // only, so the fused form uses the dispatched CSR variant.
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
+  // of Multiply + MultiplyTranspose. SELL does the dot for four rows at
+  // once and scatters the four sums over the same slices.
+  const spk::Backend backend = spk::Resolve(ResolvedKernel());
   static VariantCounters counters("gram_fused");
   counters.For(backend).Count(rows_, nnz());
-  const std::vector<double>& v = values(e);
-  const spk::CsrView view = View();
+  const bool upper = e == Endpoint::kUpper;
+  const double* v = values(e).data();
   const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
+  const spk::PackedCsrView packed = avx2 ? PackedView() : spk::PackedCsrView{};
+  const spk::CsrView view = View();
   y.resize(cols_);
-  ScatterRows(rows_, nnz(), cols_, y.data(), nullptr,
-              [&](double* out, double*, size_t begin, size_t end) {
-                if (avx2) {
-                  spk::GramFusedPackedAvx2(packed, v.data(), x.data(), out,
-                                           begin, end);
-                } else {
-                  spk::GramFusedScalar(view, v.data(), x.data(), out, begin,
-                                       end);
-                }
-              });
+  ScatterToCols(
+      backend, y.data(),
+      [&](const SellPack& sell, double* out, size_t begin, size_t end) {
+        sell.GramMultiply(upper, x.data(), out, begin, end);
+      },
+      [&](double* out, size_t begin, size_t end) {
+        if (avx2) {
+          spk::GramFusedPackedAvx2(packed, v, x.data(), out, begin, end);
+        } else {
+          spk::GramFusedScalar(view, v, x.data(), out, begin, end);
+        }
+      });
 }
 
 Matrix SparseIntervalMatrix::MultiplyDense(Endpoint e, const Matrix& b) const {
@@ -566,29 +619,55 @@ IntervalMatrix SparseIntervalMatrix::IntervalMultiplyDense(
   return IntervalMatrix(std::move(lo), std::move(hi));
 }
 
+Matrix SparseIntervalMatrix::MultiplyDenseTranspose(Endpoint e,
+                                                    const Matrix& b) const {
+  IVMF_CHECK_MSG(b.rows() == rows_, "sparse x dense dimension mismatch");
+  const size_t bcols = b.cols();
+  Matrix c(cols_, bcols);
+  if (bcols == 0 || rows_ == 0 || cols_ == 0) return c;
+  static KernelCounters counters("multiply_dense_t", "scalar");
+  counters.Count(rows_, nnz());
+  const spk::PackedCsrView packed = PackedView();
+  const double* v = values(e).data();
+  ScatterRows(rows_, kMinRowsPerThread, nnz(), cols_ * bcols, c.data(),
+              nullptr, [&](double* out, double*, size_t begin, size_t end) {
+                spk::MatDenseTPackedScalar(packed, v, b.data(), bcols, out,
+                                           begin, end);
+              });
+  return c;
+}
+
 IntervalMatrix SparseIntervalMatrix::IntervalMultiplyDenseTranspose(
     const Matrix& b) const {
   IVMF_CHECK_MSG(b.rows() == rows_, "sparse x dense dimension mismatch");
   // Transpose().IntervalMultiplyDense(b) without building the transpose:
   // row blocks scatter A_*ᵀ B and A^*ᵀ B in one pattern pass, then the
-  // elementwise min / max makes the interval. The scatter has no
-  // vectorized variant, so every backend runs the packed scalar kernel.
+  // elementwise min / max makes the interval. SELL has no dense kernels,
+  // so it runs the dispatched CSR variant.
   const size_t bcols = b.cols();
   Matrix lo(cols_, bcols);
   Matrix hi(cols_, bcols);
   if (bcols == 0 || rows_ == 0 || cols_ == 0) {
     return IntervalMatrix(std::move(lo), std::move(hi));
   }
-  static KernelCounters counters("multiply_dense_t_both", "scalar");
-  counters.Count(rows_, nnz());
+  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
+  static VariantCounters counters("multiply_dense_t_both");
+  counters.For(backend).Count(rows_, nnz());
+  const bool avx2 = backend == spk::Backend::kAvx2;
   const spk::PackedCsrView packed = PackedView();
   double* p_lo = lo.data();
   double* p_hi = hi.data();
-  ScatterRows(rows_, nnz(), cols_ * bcols, p_lo, p_hi,
+  ScatterRows(rows_, kMinRowsPerThread, nnz(), cols_ * bcols, p_lo, p_hi,
               [&](double* out_lo, double* out_hi, size_t begin, size_t end) {
-                spk::MatDenseTBothPackedScalar(packed, lo_.data(), hi_.data(),
+                if (avx2) {
+                  spk::MatDenseTBothPackedAvx2(packed, lo_.data(), hi_.data(),
                                                b.data(), bcols, out_lo,
                                                out_hi, begin, end);
+                } else {
+                  spk::MatDenseTBothPackedScalar(packed, lo_.data(),
+                                                 hi_.data(), b.data(), bcols,
+                                                 out_lo, out_hi, begin, end);
+                }
               });
   for (size_t k = 0; k < cols_ * bcols; ++k) {
     const double a = p_lo[k];

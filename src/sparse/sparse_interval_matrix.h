@@ -134,8 +134,8 @@ class SparseIntervalMatrix {
   // sparse_kernels.h: the scalar reference loops, AVX2 register-blocked CSR
   // rows (runtime cpuid, portable fallback), or a SELL-C-4 padded layout
   // built lazily as an immutable sidecar the first time a SELL kernel runs
-  // (kernels the SELL layout does not cover — transpose, dense, Gram — use
-  // the dispatched CSR variant). The default kAuto defers to the
+  // (the sparse x dense products, which SELL does not cover, use the
+  // dispatched CSR variant). The default kAuto defers to the
   // IVMF_SPARSE_KERNEL environment variable (scalar|avx2|sell|auto), then
   // to cpuid, so call sites never change: Lanczos eig/SVD, StreamingIsvd,
   // and the serving refresh path all pick the backend up through here.
@@ -163,11 +163,14 @@ class SparseIntervalMatrix {
   // IntervalMultiplyDense) compute every output entry from exactly the
   // serial loop's terms — vectorized variants reassociate within a row by a
   // fixed lane blocking, so they agree with the scalar reference to
-  // roundoff and are bit-stable across calls. MultiplyTranspose,
-  // GramMultiply and IntervalMultiplyDenseTranspose reduce per-thread
-  // partial accumulators, so their summation order differs from the serial
-  // scatter by a fixed blocking (bit-stable across calls, equal to the
-  // serial result up to roundoff).
+  // roundoff and are bit-stable across calls. The transposed products
+  // (MultiplyTranspose, MultiplyTransposeMid, GramMultiply and the dense
+  // *Transpose forms) are row scatters over the layout the matrix holds
+  // (SELL chunks, packed AVX2 rows, or the scalar reference) into
+  // per-thread partial accumulators, reduced in fixed order: their
+  // summation order differs from the serial scatter by a fixed blocking
+  // (bit-stable across calls, equal to the serial result up to roundoff).
+  // No kernel here reads or builds a Transpose().
   //
   // Aliasing contract (checked): output vectors may not alias input vectors
   // or each other — the kernels stream inputs while writing outputs in
@@ -185,22 +188,25 @@ class SparseIntervalMatrix {
   // materializing it.
   void MultiplyMid(const std::vector<double>& x, std::vector<double>& y) const;
 
-  // y = A_eᵀ x (y resized to cols()). Parallelized with per-thread partial
-  // accumulators over row blocks followed by a column-parallel reduction;
-  // iterative solvers that apply the transpose many times may still prefer
-  // holding a Transpose() and calling Multiply on it (streaming reads beat
-  // the scatter). Three callers do: the sparse ISVD0/ISVD1 endpoint maps
-  // (the transposed forward matvec runs about twice as fast as this
-  // scatter at 20k x 5k), the two-pass Gram operator on the scalar and
-  // SELL backends, and the Gram route on MMᵀ, whose working matrix is the
-  // transpose. The fused AVX2 Gram route and the ISVD4 recompute
-  // (IntervalMultiplyDenseTranspose) build none.
+  // y = A_eᵀ x (y resized to cols()): a row scatter into per-thread
+  // partial accumulators, reduced in fixed order. On the packed AVX2 and
+  // SELL layouts it streams the same bytes as the forward matvec, so the
+  // Golub–Kahan SVD of ISVD0/ISVD1 runs on it without a transpose.
   void MultiplyTranspose(Endpoint e, const std::vector<double>& x,
                          std::vector<double>& y) const;
+
+  // y = ((A_* + A^*) / 2)ᵀ x, the midpoint scatter (y resized to cols()).
+  // The transposed action of the ISVD0 midpoint map.
+  void MultiplyTransposeMid(const std::vector<double>& x,
+                            std::vector<double>& y) const;
 
   // C = A_e * B for dense B (cols() x k). Parallelized over rows. A
   // zero-column B yields a rows() x 0 result without touching any storage.
   Matrix MultiplyDense(Endpoint e, const Matrix& b) const;
+
+  // C = A_eᵀ * B for dense B (rows() x k), the row scatter of
+  // IntervalMultiplyDenseTranspose for one endpoint (cols() x k result).
+  Matrix MultiplyDenseTranspose(Endpoint e, const Matrix& b) const;
 
   // C† = A† * B for a dense scalar B, matching the dense mixed-operand
   // IntervalMatMul exactly: C_lo / C_hi are the elementwise min / max of the
@@ -210,8 +216,8 @@ class SparseIntervalMatrix {
   // C† = A†ᵀ * B for a dense scalar B (rows() x k), equal to
   // Transpose().IntervalMultiplyDense(b) up to roundoff without building the
   // transpose: row blocks scatter A_*ᵀ B and A^*ᵀ B into per-thread
-  // accumulators (the packed scalar MatDenseTBothPackedScalar kernel on
-  // every backend), which reduce in fixed order before the elementwise
+  // accumulators (MatDenseTBothPacked{Avx2,Scalar} on the dispatched CSR
+  // variant), which reduce in fixed order before the elementwise
   // min / max. Bit-stable across calls. Workers are capped so their
   // accumulators never outgrow the transpose they replace (nnz x 24 bytes).
   // Same contract as ShardedSparseIntervalMatrix's method of this name; the
@@ -224,8 +230,8 @@ class SparseIntervalMatrix {
   // Multiply + MultiplyTranspose composition. Same value as that
   // composition up to roundoff (summation into y is grouped by row, and
   // per-thread partials reduce like MultiplyTranspose); bit-stable across
-  // calls. SparseGramOperator::Apply routes through here when the AVX2
-  // backend is resolved.
+  // calls. SparseGramOperator::Apply routes through here; on SELL the
+  // fused kernel runs over the padded chunks.
   void GramMultiply(Endpoint e, const std::vector<double>& x,
                     std::vector<double>& y) const;
 
@@ -277,6 +283,13 @@ class SparseIntervalMatrix {
   }
 
   const SellPack& EnsureSell() const;
+
+  // Runs a cols()-sized reduction kernel on `backend`: over SELL chunks
+  // through sell_fn(pack, out, chunk_begin, chunk_end), else over CSR rows
+  // through csr_fn(out, row_begin, row_end). Writes y (cols() entries).
+  template <typename SellFn, typename CsrFn>
+  void ScatterToCols(spk::Backend backend, double* y, SellFn&& sell_fn,
+                     CsrFn&& csr_fn) const;
 
   // The packed view over this matrix's arrays (builds the sidecar on first
   // use).

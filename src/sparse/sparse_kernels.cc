@@ -229,6 +229,66 @@ void SellMatVecMidScalar(const SellView& s, const double* lo,
   }
 }
 
+namespace {
+
+// x at the four rows of chunk c into xc (padded lanes read 0). Returns
+// false when all four are zero: the chunk scatters nothing.
+bool SellChunkX(const SellView& s, const double* x, size_t c,
+                double xc[kSellC]) {
+  const size_t* perm = s.perm + kSellC * c;
+  bool any = false;
+  for (size_t l = 0; l < kSellC; ++l) {
+    xc[l] = perm[l] == kSellPadRow ? 0.0 : x[perm[l]];
+    any |= xc[l] != 0.0;
+  }
+  return any;
+}
+
+}  // namespace
+
+void SellMatVecTScalar(const SellView& s, const double* v, const double* x,
+                       double* y, size_t chunk_begin, size_t chunk_end) {
+  for (size_t c = chunk_begin; c < chunk_end; ++c) {
+    double xc[kSellC];
+    if (!SellChunkX(s, x, c, xc)) continue;
+    for (size_t k = s.chunk_ptr[c]; k < s.chunk_ptr[c + 1]; k += kSellC) {
+      for (size_t l = 0; l < kSellC; ++l) y[s.col[k + l]] += v[k + l] * xc[l];
+    }
+  }
+}
+
+void SellMatVecTMidScalar(const SellView& s, const double* lo,
+                          const double* hi, const double* x, double* y,
+                          size_t chunk_begin, size_t chunk_end) {
+  for (size_t c = chunk_begin; c < chunk_end; ++c) {
+    double xc[kSellC];
+    if (!SellChunkX(s, x, c, xc)) continue;
+    for (size_t k = s.chunk_ptr[c]; k < s.chunk_ptr[c + 1]; k += kSellC) {
+      for (size_t l = 0; l < kSellC; ++l) {
+        y[s.col[k + l]] += 0.5 * (lo[k + l] + hi[k + l]) * xc[l];
+      }
+    }
+  }
+}
+
+void SellGramFusedScalar(const SellView& s, const double* v, const double* x,
+                         double* y, size_t chunk_begin, size_t chunk_end) {
+  for (size_t c = chunk_begin; c < chunk_end; ++c) {
+    const size_t begin = s.chunk_ptr[c];
+    const size_t end = s.chunk_ptr[c + 1];
+    double acc[kSellC] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t k = begin; k < end; k += kSellC) {
+      for (size_t l = 0; l < kSellC; ++l) acc[l] += v[k + l] * x[s.col[k + l]];
+    }
+    if (acc[0] == 0.0 && acc[1] == 0.0 && acc[2] == 0.0 && acc[3] == 0.0) {
+      continue;
+    }
+    for (size_t k = begin; k < end; k += kSellC) {
+      for (size_t l = 0; l < kSellC; ++l) y[s.col[k + l]] += acc[l] * v[k + l];
+    }
+  }
+}
+
 // -- Packed-index scalar kernels ---------------------------------------------
 //
 // One templated body per kernel, instantiated for the u16 and u32 sidecars.
@@ -308,6 +368,20 @@ void PackedMatDenseTBoth(const PackedCsrView& a, const IdxT* idx,
         out_lo[j] += vlo * brow[j];
         out_hi[j] += vhi * brow[j];
       }
+    }
+  }
+}
+
+template <typename IdxT>
+void PackedMatDenseT(const PackedCsrView& a, const IdxT* idx, const double* v,
+                     const double* b, size_t bcols, double* c,
+                     size_t row_begin, size_t row_end) {
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const double* brow = b + i * bcols;
+    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
+      double* out = c + idx[k] * bcols;
+      const double value = v[k];
+      for (size_t j = 0; j < bcols; ++j) out[j] += value * brow[j];
     }
   }
 }
@@ -415,6 +489,16 @@ void MatDenseTBothPackedScalar(const PackedCsrView& a, const double* lo,
   }
 }
 
+void MatDenseTPackedScalar(const PackedCsrView& a, const double* v,
+                           const double* b, size_t bcols, double* c,
+                           size_t row_begin, size_t row_end) {
+  if (a.col16 != nullptr) {
+    PackedMatDenseT(a, a.col16, v, b, bcols, c, row_begin, row_end);
+  } else {
+    PackedMatDenseT(a, a.col32, v, b, bcols, c, row_begin, row_end);
+  }
+}
+
 void MatDensePackedScalar(const PackedCsrView& a, const double* v,
                           const double* b, size_t bcols, double* c,
                           size_t row_begin, size_t row_end) {
@@ -469,11 +553,6 @@ void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
   MatVecMidScalar(a, lo, hi, x, y, row_begin, row_end);
 }
 
-void MatVecTAvx2(const CsrView& a, const double* v, const double* x,
-                 double* y, size_t row_begin, size_t row_end) {
-  MatVecTScalar(a, v, x, y, row_begin, row_end);
-}
-
 void MatDenseAvx2(const CsrView& a, const double* v, const double* b,
                   size_t bcols, double* c, size_t row_begin, size_t row_end) {
   MatDenseScalar(a, v, b, bcols, c, row_begin, row_end);
@@ -496,6 +575,11 @@ void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
   SellMatVecMidScalar(s, lo, hi, x, y, chunk_begin, chunk_end);
 }
 
+void SellGramFusedAvx2(const SellView& s, const double* v, const double* x,
+                       double* y, size_t chunk_begin, size_t chunk_end) {
+  SellGramFusedScalar(s, v, x, y, chunk_begin, chunk_end);
+}
+
 void MatVecPackedAvx2(const PackedCsrView& a, const double* v,
                       const double* x, double* y, size_t row_begin,
                       size_t row_end) {
@@ -512,6 +596,20 @@ void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end) {
   GramFusedPackedScalar(a, v, x, y, row_begin, row_end);
+}
+
+void MatVecTPackedAvx2(const PackedCsrView& a, const double* v,
+                       const double* x, double* y, size_t row_begin,
+                       size_t row_end) {
+  MatVecTPackedScalar(a, v, x, y, row_begin, row_end);
+}
+
+void MatDenseTBothPackedAvx2(const PackedCsrView& a, const double* lo,
+                             const double* hi, const double* b, size_t bcols,
+                             double* c_lo, double* c_hi, size_t row_begin,
+                             size_t row_end) {
+  MatDenseTBothPackedScalar(a, lo, hi, b, bcols, c_lo, c_hi, row_begin,
+                            row_end);
 }
 
 #endif  // !IVMF_HAVE_AVX2

@@ -10,21 +10,24 @@
 //
 // Three backends:
 //   kScalar  the reference loops (also the portable fallback everywhere)
-//   kAvx2    register-blocked CSR rows, 4-wide FMA gathers. The forward
-//            matvec family and the fused Gram kernel run over a packed
-//            16/32-bit column-index sidecar (built lazily per matrix) with
-//            software prefetch — the matvec is memory-bound, so halving
-//            index bytes is worth more than any amount of ILP. Compiled in
-//            a dedicated -mavx2 translation unit and reached only after a
-//            runtime cpuid check, so the same binary runs on machines
-//            without AVX2
+//   kAvx2    register-blocked CSR rows, 4-wide FMA gathers. The matvec
+//            family and the fused Gram kernel run over a packed 16/32-bit
+//            column-index sidecar (built lazily per matrix) with software
+//            prefetch — the matvec is memory-bound, so halving index bytes
+//            is worth more than any amount of ILP. The transpose scatter
+//            reads the same sidecar (the stores stay scalar: no scatter
+//            instruction).
+//            Compiled in a dedicated -mavx2 translation unit and reached
+//            only after a runtime cpuid check, so the same binary runs on
+//            machines without AVX2
 //   kSell    SELL-C-sigma padded storage (C = 4 rows per chunk, rows sorted
 //            by length within a sigma-row window): the matvec becomes a
 //            vertical 4-lane FMA per slice with no per-row remainder, using
-//            32-bit column indices to halve index bandwidth. Kernels the
-//            SELL layout does not cover (transpose, sparse x dense, Gram)
-//            fall back to the dispatched CSR variant — the CSR arrays stay
-//            resident either way.
+//            32-bit column indices to halve index bandwidth. The layout also
+//            covers the transpose scatter and the fused Gram: one 4-lane
+//            vector per chunk, four scalar read-modify-writes per slice.
+//            Dense products fall back to the dispatched CSR variant — the
+//            CSR arrays stay resident either way.
 //
 // Selection: per-matrix SparseIntervalMatrix::set_kernel() wins, then the
 // IVMF_SPARSE_KERNEL environment variable (scalar|avx2|sell|auto), then
@@ -61,7 +64,7 @@ enum class Backend {
   kAuto,    // resolve from IVMF_SPARSE_KERNEL, then cpuid
   kScalar,  // reference CSR loops
   kAvx2,    // vectorized CSR rows (degrades to kScalar without AVX2)
-  kSell,    // SELL-C-4 padded storage for matvec-shaped kernels
+  kSell,    // SELL-C-4 padded storage for matvec, scatter and Gram kernels
 };
 
 // True when the AVX2 translation unit was compiled into this binary
@@ -91,7 +94,7 @@ Backend EnvBackend();
 Backend Resolve(Backend request);
 
 // The CSR variant standing in for `backend` on kernels the SELL layout does
-// not implement (transpose, dense, Gram): kSell maps to kAvx2/kScalar by
+// not implement (the sparse x dense products): kSell maps to kAvx2/kScalar by
 // cpuid, everything else resolves as usual.
 Backend CsrVariant(Backend backend);
 
@@ -144,15 +147,11 @@ void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
                    size_t row_end);
 
 // y[col_idx[k]] += v[k] * x[i] over rows [row_begin, row_end): the
-// transpose action as a scatter. Accumulates — the caller zero-fills y (or
-// reduces per-thread partials). AVX2 has no scatter instruction, so the
-// vectorized variant register-blocks the multiply four entries at a time
-// (columns within a row are unique, so the four scalar stores never
-// collide) — a modest but honest win over the reference loop.
+// transpose action as a scatter, and the scalar reference for the packed
+// and SELL scatters below. Accumulates — the caller zero-fills y (or
+// reduces per-thread partials).
 void MatVecTScalar(const CsrView& a, const double* v, const double* x,
                    double* y, size_t row_begin, size_t row_end);
-void MatVecTAvx2(const CsrView& a, const double* v, const double* x,
-                 double* y, size_t row_begin, size_t row_end);
 
 // C = A_e B for row-major dense b (a.cols x bcols); row i of C is
 // accumulated in place (caller zero-fills). Vectorizes across the dense
@@ -198,9 +197,6 @@ struct PackedCsrView {
 // column stream is packed (an mmap'd segment stores u32 indices, never
 // size_t) runs when the resolved backend is kScalar — calling the
 // *PackedAvx2 symbols there would execute real AVX2 code on AVX2 builds.
-// The transpose / dense members exist only in packed-scalar form: AVX2 has
-// no packed transpose-scatter or dense-block kernel, so sharded dispatch
-// uses these for every backend.
 void MatVecPackedScalar(const PackedCsrView& a, const double* v,
                         const double* x, double* y, size_t row_begin,
                         size_t row_end);
@@ -213,8 +209,7 @@ void MatVecTPackedScalar(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end);
 // y[col[k]] += 0.5 * (lo[k] + hi[k]) * x[i] — the midpoint transpose
-// scatter (the ApplyTranspose of a sharded midpoint map, which has no
-// materialized transpose to run forward).
+// scatter (the ApplyTranspose of the ISVD0 midpoint map).
 void MatVecTMidPackedScalar(const PackedCsrView& a, const double* lo,
                             const double* hi, const double* x, double* y,
                             size_t row_begin, size_t row_end);
@@ -226,6 +221,11 @@ void MatDenseTBothPackedScalar(const PackedCsrView& a, const double* lo,
                                const double* hi, const double* b,
                                size_t bcols, double* c_lo, double* c_hi,
                                size_t row_begin, size_t row_end);
+// c += A_eᵀ B, the single-endpoint form of MatDenseTBothPackedScalar (the
+// kMMt left-factor recovery, off the hot path; it has no AVX2 form).
+void MatDenseTPackedScalar(const PackedCsrView& a, const double* v,
+                           const double* b, size_t bcols, double* c,
+                           size_t row_begin, size_t row_end);
 // Packed-index counterparts of MatDenseScalar / MatDenseBothScalar
 // (accumulate into row-major c; caller zero-fills).
 void MatDensePackedScalar(const PackedCsrView& a, const double* v,
@@ -239,15 +239,28 @@ void GramFusedPackedScalar(const PackedCsrView& a, const double* v,
                            const double* x, double* y, size_t row_begin,
                            size_t row_end);
 
-// Packed-index counterparts of the forward CSR family above; same
-// semantics, same aliasing and numerical contracts. Without AVX2 in the
-// build they run portable blocked-scalar loops over the packed indices.
+// Packed-index counterparts of the CSR family above; same semantics, same
+// aliasing and numerical contracts. Without AVX2 in the build they run the
+// packed scalar loops. AVX2 has no scatter instruction: MatVecTPackedAvx2
+// vectorizes the multiplies four lanes at a time and stores the lanes one
+// by one (columns are unique within a row, so the stores never collide).
+// The midpoint scatter has no AVX2 form; the AVX2 backend runs
+// MatVecTMidPackedScalar over the narrow indices.
 void MatVecPackedAvx2(const PackedCsrView& a, const double* v,
                       const double* x, double* y, size_t row_begin,
                       size_t row_end);
 void MatVecMidPackedAvx2(const PackedCsrView& a, const double* lo,
                          const double* hi, const double* x, double* y,
                          size_t row_begin, size_t row_end);
+void MatVecTPackedAvx2(const PackedCsrView& a, const double* v,
+                       const double* x, double* y, size_t row_begin,
+                       size_t row_end);
+// MatDenseTBothPackedScalar vectorized across the bcols dense columns with
+// 128-bit FMAs (the ISVD4 recompute V† = M†ᵀ S).
+void MatDenseTBothPackedAvx2(const PackedCsrView& a, const double* lo,
+                             const double* hi, const double* b, size_t bcols,
+                             double* c_lo, double* c_hi, size_t row_begin,
+                             size_t row_end);
 
 // -- Fused normal-equations (Gram) kernels -----------------------------------
 //
@@ -271,9 +284,11 @@ void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
 // Chunk c covers four consecutive rows of the length-sorted permutation;
 // slice s of chunk c stores lanes 0..3 contiguously at
 // col[chunk_ptr[c] + 4 * s + lane]. Padded lanes carry column 0 / value 0,
-// and their perm entry is kSellPadRow. Kernels write whole chunks
-// [chunk_begin, chunk_end), scattering each real lane sum to
-// y[perm[4 * c + lane]].
+// and their perm entry is kSellPadRow. Kernels run whole chunks
+// [chunk_begin, chunk_end). The forward kernels write each real lane sum
+// to y[perm[4 * c + lane]]; the scatters and the fused Gram accumulate
+// into y (caller zero-fills or reduces partials), and padded slots add an
+// exact zero to y[0].
 
 inline constexpr size_t kSellC = 4;
 inline constexpr size_t kSellPadRow = static_cast<size_t>(-1);
@@ -296,6 +311,26 @@ void SellMatVecMidScalar(const SellView& s, const double* lo,
 void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
                        const double* x, double* y, size_t chunk_begin,
                        size_t chunk_end);
+
+// y[col] += v * x[row] over the chunks: the x values of a chunk's four
+// rows are read once (padded lanes read 0), then each slice makes four
+// read-modify-writes. The scatters have no AVX2 form (the stores are
+// scalar either way); both SELL backends run these.
+void SellMatVecTScalar(const SellView& s, const double* v, const double* x,
+                       double* y, size_t chunk_begin, size_t chunk_end);
+
+// y[col] += 0.5 * (lo + hi) * x[row], the midpoint scatter.
+void SellMatVecTMidScalar(const SellView& s, const double* lo,
+                          const double* hi, const double* x, double* y,
+                          size_t chunk_begin, size_t chunk_end);
+
+// y += A_eᵀ (A_e x) over the chunks in one pass: the vertical gather-dot
+// of the forward kernel leaves the four row sums in one vector, which then
+// scatters back over the same (cache-hot) slices.
+void SellGramFusedScalar(const SellView& s, const double* v, const double* x,
+                         double* y, size_t chunk_begin, size_t chunk_end);
+void SellGramFusedAvx2(const SellView& s, const double* v, const double* x,
+                       double* y, size_t chunk_begin, size_t chunk_end);
 
 }  // namespace ivmf::spk
 

@@ -10,7 +10,8 @@
 // Layout of the row kernels: two (or four, for the cheap single-stream
 // matvec) independent 4-lane FMA accumulators per row hide the FMA latency
 // the scalar loop's single `sum` chain serializes on; the dense operand is
-// fetched with 64-bit index gathers (the CSR column array is size_t).
+// fetched with 64-bit index gathers (the CSR column array is size_t) or,
+// in the packed family, 32-bit ones.
 // Remainder entries (< 4 per row, plus the odd block) run scalar. Each
 // output entry sums exactly the same terms as the reference kernel, just in
 // blocked association order.
@@ -90,28 +91,6 @@ void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
     double sum = HSum(acc);
     for (; k < end; ++k) sum += 0.5 * (lo[k] + hi[k]) * x[a.col_idx[k]];
     y[i] = sum;
-  }
-}
-
-void MatVecTAvx2(const CsrView& a, const double* v, const double* x,
-                 double* y, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const __m256d xv = _mm256_set1_pd(xi);
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    // No scatter in AVX2: vectorize the multiply, store lanes individually.
-    // Columns are unique within a row, so the four stores never collide.
-    for (; k + 4 <= end; k += 4) {
-      alignas(32) double prod[4];
-      _mm256_store_pd(prod, _mm256_mul_pd(_mm256_loadu_pd(v + k), xv));
-      y[a.col_idx[k]] += prod[0];
-      y[a.col_idx[k + 1]] += prod[1];
-      y[a.col_idx[k + 2]] += prod[2];
-      y[a.col_idx[k + 3]] += prod[3];
-    }
-    for (; k < end; ++k) y[a.col_idx[k]] += v[k] * xi;
   }
 }
 
@@ -355,6 +334,85 @@ void GramFusedPackedImpl(const PackedCsrView& a, const IdxT* idx,
   }
 }
 
+// The transpose scatter forms a row's products four lanes at a time into
+// `prod`, then adds them to y one lane at a time (AVX2 has no scatter).
+// Columns are unique within a row, so the stores never collide. 16 entries
+// per trip keep one value-stream prefetch per two cache lines, like the
+// matvec.
+template <typename IdxT>
+inline void ScatterProducts16(const IdxT* idx, size_t k, const double* prod,
+                              double* y) {
+  for (size_t u = 0; u < 16; ++u) y[idx[k + u]] += prod[u];
+}
+
+template <typename IdxT>
+void MatVecTPackedImpl(const PackedCsrView& a, const IdxT* idx,
+                       const double* v, const double* x, double* y,
+                       size_t row_begin, size_t row_end) {
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const double xi = x[i];
+    if (xi == 0.0) continue;
+    const __m256d xv = _mm256_set1_pd(xi);
+    const size_t end = a.row_ptr[i + 1];
+    size_t k = a.row_ptr[i];
+    for (; k + 16 <= end; k += 16) {
+      __builtin_prefetch(v + k + kValAhead);
+      __builtin_prefetch(v + k + kValAhead + 8);
+      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
+      alignas(32) double prod[16];
+      for (size_t u = 0; u < 16; u += 4) {
+        _mm256_store_pd(prod + u,
+                        _mm256_mul_pd(_mm256_loadu_pd(v + k + u), xv));
+      }
+      ScatterProducts16(idx, k, prod, y);
+    }
+    for (; k < end; ++k) y[idx[k]] += v[k] * xi;
+  }
+}
+
+// The transposed dense product holds up to 16 columns of row i of B in
+// eight 128-bit registers across the row's nonzeros, and updates the two
+// output rows with 128-bit FMAs. 128 bits, not 256: at r = 10 the output
+// rows are 80 bytes apart, so every other 256-bit read-modify-write would
+// cross a cache line (that form measured ~1.5x slower than the scalar
+// loop), while 16-byte accesses on the 16-byte-aligned rows never do.
+template <typename IdxT>
+void MatDenseTBothPackedImpl(const PackedCsrView& a, const IdxT* idx,
+                             const double* lo, const double* hi,
+                             const double* b, size_t bcols, double* c_lo,
+                             double* c_hi, size_t row_begin, size_t row_end) {
+  constexpr size_t kBlock = 16;
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const double* brow = b + i * bcols;
+    const size_t begin = a.row_ptr[i];
+    const size_t end = a.row_ptr[i + 1];
+    for (size_t j0 = 0; j0 < bcols; j0 += kBlock) {
+      const size_t width = bcols - j0 < kBlock ? bcols - j0 : kBlock;
+      const size_t pairs = width / 2;
+      __m128d bv[kBlock / 2];
+      for (size_t p = 0; p < pairs; ++p) {
+        bv[p] = _mm_loadu_pd(brow + j0 + 2 * p);
+      }
+      for (size_t k = begin; k < end; ++k) {
+        double* out_lo = c_lo + idx[k] * bcols + j0;
+        double* out_hi = c_hi + idx[k] * bcols + j0;
+        const __m128d vlo = _mm_set1_pd(lo[k]);
+        const __m128d vhi = _mm_set1_pd(hi[k]);
+        for (size_t p = 0; p < pairs; ++p) {
+          _mm_storeu_pd(out_lo + 2 * p,
+                        _mm_fmadd_pd(vlo, bv[p], _mm_loadu_pd(out_lo + 2 * p)));
+          _mm_storeu_pd(out_hi + 2 * p,
+                        _mm_fmadd_pd(vhi, bv[p], _mm_loadu_pd(out_hi + 2 * p)));
+        }
+        if (width % 2 != 0) {
+          out_lo[width - 1] += lo[k] * brow[j0 + width - 1];
+          out_hi[width - 1] += hi[k] * brow[j0 + width - 1];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void MatVecPackedAvx2(const PackedCsrView& a, const double* v,
@@ -384,6 +442,29 @@ void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
     GramFusedPackedImpl(a, a.col16, v, x, y, row_begin, row_end);
   } else {
     GramFusedPackedImpl(a, a.col32, v, x, y, row_begin, row_end);
+  }
+}
+
+void MatVecTPackedAvx2(const PackedCsrView& a, const double* v,
+                       const double* x, double* y, size_t row_begin,
+                       size_t row_end) {
+  if (a.col16 != nullptr) {
+    MatVecTPackedImpl(a, a.col16, v, x, y, row_begin, row_end);
+  } else {
+    MatVecTPackedImpl(a, a.col32, v, x, y, row_begin, row_end);
+  }
+}
+
+void MatDenseTBothPackedAvx2(const PackedCsrView& a, const double* lo,
+                             const double* hi, const double* b, size_t bcols,
+                             double* c_lo, double* c_hi, size_t row_begin,
+                             size_t row_end) {
+  if (a.col16 != nullptr) {
+    MatDenseTBothPackedImpl(a, a.col16, lo, hi, b, bcols, c_lo, c_hi,
+                            row_begin, row_end);
+  } else {
+    MatDenseTBothPackedImpl(a, a.col32, lo, hi, b, bcols, c_lo, c_hi,
+                            row_begin, row_end);
   }
 }
 
@@ -432,6 +513,45 @@ void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
     const size_t* perm = s.perm + kSellC * c;
     for (size_t l = 0; l < kSellC; ++l) {
       if (perm[l] != kSellPadRow) y[perm[l]] = lanes[l];
+    }
+  }
+}
+
+namespace {
+
+// The fused Gram's scatter half: one slice's four lane products, added to y
+// one lane at a time (AVX2 has no scatter). Lanes of one slice are
+// different rows, so their columns may coincide; the stores run in lane
+// order, so a repeated column simply accumulates twice.
+inline void ScatterSlice(const uint32_t* col, __m256d prod, double* y) {
+  alignas(32) double p[kSellC];
+  _mm256_store_pd(p, prod);
+  y[col[0]] += p[0];
+  y[col[1]] += p[1];
+  y[col[2]] += p[2];
+  y[col[3]] += p[3];
+}
+
+}  // namespace
+
+void SellGramFusedAvx2(const SellView& s, const double* v, const double* x,
+                       double* y, size_t chunk_begin, size_t chunk_end) {
+  for (size_t c = chunk_begin; c < chunk_end; ++c) {
+    const size_t begin = s.chunk_ptr[c];
+    const size_t end = s.chunk_ptr[c + 1];
+    __m256d acc = _mm256_setzero_pd();
+    for (size_t k = begin; k < end; k += kSellC) {
+      const __m128i idx =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.col + k));
+      acc = _mm256_fmadd_pd(_mm256_loadu_pd(v + k), Gather(x, idx), acc);
+    }
+    // Empty rows (and exact cancellations) scatter 0.
+    if (_mm256_movemask_pd(_mm256_cmp_pd(acc, _mm256_setzero_pd(),
+                                         _CMP_EQ_OQ)) == 0xF) {
+      continue;
+    }
+    for (size_t k = begin; k < end; k += kSellC) {
+      ScatterSlice(s.col + k, _mm256_mul_pd(acc, _mm256_loadu_pd(v + k)), y);
     }
   }
 }

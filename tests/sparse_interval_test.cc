@@ -1,6 +1,8 @@
 #include "sparse/sparse_interval_matrix.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -406,6 +408,87 @@ TEST(SparseRatingsTest, SparseCfMatchesDenseCfExactly) {
   // Same accumulation order, so the two constructions agree bit-for-bit.
   EXPECT_TRUE(cf_sparse.ToDense().ApproxEquals(cf_dense, 0.0));
   EXPECT_TRUE(cf_sparse.IsNonNegative());
+}
+
+// The triplet construction SparseCfIntervalMatrix used before it built the
+// CSR directly: sort a copy, aggregate in row-major order, then hand
+// per-cell intervals to FromTriplets (which merges duplicates to the hull).
+SparseIntervalMatrix TripletCfIntervalMatrix(const SparseRatingsData& data,
+                                             double alpha) {
+  std::vector<RatingTriplet> sorted = data.triplets;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const RatingTriplet& a, const RatingTriplet& b) {
+              return a.user != b.user ? a.user < b.user : a.item < b.item;
+            });
+  const size_t n = data.num_users;
+  const size_t m = data.num_items;
+  std::vector<double> row_sum(n, 0.0), row_sumsq(n, 0.0);
+  std::vector<double> col_sum(m, 0.0), col_sumsq(m, 0.0);
+  std::vector<size_t> row_count(n, 0), col_count(m, 0);
+  for (const RatingTriplet& t : sorted) {
+    row_sum[t.user] += t.rating;
+    row_sumsq[t.user] += t.rating * t.rating;
+    ++row_count[t.user];
+    col_sum[t.item] += t.rating;
+    col_sumsq[t.item] += t.rating * t.rating;
+    ++col_count[t.item];
+  }
+  std::vector<IntervalTriplet> cells;
+  for (const RatingTriplet& t : sorted) {
+    const double x = t.rating;
+    const double count =
+        static_cast<double>(row_count[t.user] + col_count[t.item] - 1);
+    const double sum = row_sum[t.user] + col_sum[t.item] - x;
+    const double sumsq = row_sumsq[t.user] + col_sumsq[t.item] - x * x;
+    const double mean = sum / count;
+    const double var = std::max(0.0, sumsq / count - mean * mean);
+    const double delta = alpha * std::sqrt(var);
+    cells.push_back({t.user, t.item, Interval(x - delta, x + delta)});
+  }
+  return SparseIntervalMatrix::FromTriplets(n, m, std::move(cells));
+}
+
+template <typename T>
+bool BitEqual(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void ExpectSameCsr(const SparseIntervalMatrix& got,
+                   const SparseIntervalMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_TRUE(BitEqual(got.row_ptr(), want.row_ptr()));
+  EXPECT_TRUE(BitEqual(got.col_idx(), want.col_idx()));
+  EXPECT_TRUE(BitEqual(got.lower_values(), want.lower_values()));
+  EXPECT_TRUE(BitEqual(got.upper_values(), want.upper_values()));
+}
+
+TEST(SparseRatingsTest, SparseCfMatchesTripletConstructionBitwise) {
+  RatingsConfig config;
+  config.num_users = 80;
+  config.num_items = 60;
+  config.fill = 0.2;
+  config.seed = 79;
+  SparseRatingsData data = GenerateSparseRatings(config);
+  // The generator's item-major order.
+  ExpectSameCsr(SparseCfIntervalMatrix(data, 0.3),
+                TripletCfIntervalMatrix(data, 0.3));
+  // Any order, with one duplicated (user, item) cell that carries a
+  // different rating: the cell merges to the hull of both intervals.
+  ASSERT_FALSE(data.triplets.empty());
+  RatingTriplet dup = data.triplets[data.triplets.size() / 2];
+  dup.rating = dup.rating > 3.0 ? 1.0 : 5.0;
+  data.triplets.push_back(dup);
+  Rng rng(80);
+  rng.Shuffle(data.triplets);
+  const SparseIntervalMatrix got = SparseCfIntervalMatrix(data, 0.3);
+  ExpectSameCsr(got, TripletCfIntervalMatrix(data, 0.3));
+  EXPECT_EQ(got.nnz(), data.triplets.size() - 1);
+  const Interval merged = got.At(dup.user, dup.item);
+  EXPECT_LE(merged.lo, dup.rating);
+  EXPECT_GE(merged.hi, dup.rating);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "interval/interval_matrix.h"
 #include "linalg/matrix.h"
 #include "sparse/block_matrix.h"
+#include "sparse/sell_matrix.h"
 #include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "sparse/sparse_kernels.h"
@@ -170,6 +172,24 @@ struct Reference {
     return y;
   }
 
+  std::vector<double> MatVecTMid(const std::vector<double>& x) const {
+    std::vector<double> y(shape.cols, 0.0);
+    for (const auto& t : shape.entries) {
+      y[t.col] += 0.5 * (t.value.lo + t.value.hi) * x[t.row];
+    }
+    return y;
+  }
+
+  Matrix MatDenseT(Endpoint e, const Matrix& b) const {
+    Matrix c(shape.cols, b.cols());
+    for (const auto& t : shape.entries) {
+      for (size_t j = 0; j < b.cols(); ++j) {
+        c(t.col, j) += Value(t, e) * b(t.row, j);
+      }
+    }
+    return c;
+  }
+
   Matrix MatDense(Endpoint e, const Matrix& b) const {
     Matrix c(shape.rows, b.cols());
     for (const auto& t : shape.entries) {
@@ -238,6 +258,16 @@ TEST_P(SparseKernelDiffTest, MultiplyTransposeMatchesReference) {
         ExpectVectorNear(y, ref.MatVecT(e, x),
                          "MultiplyTranspose/" + CaseName(s, b, non_negative));
       }
+      m.MultiplyTransposeMid(x, y);
+      ExpectVectorNear(y, ref.MatVecTMid(x),
+                       "MultiplyTransposeMid/" + CaseName(s, b, non_negative));
+      for (size_t bcols : {size_t{1}, size_t{3}, size_t{10}}) {
+        const Matrix b_dense = RandomDense(rng, s.rows, bcols);
+        ExpectMatrixNear(
+            m.MultiplyDenseTranspose(Endpoint::kUpper, b_dense),
+            ref.MatDenseT(Endpoint::kUpper, b_dense),
+            "MultiplyDenseTranspose/" + CaseName(s, b, non_negative));
+      }
     }
   }
 }
@@ -301,15 +331,10 @@ TEST_P(SparseKernelDiffTest, GramOperatorMatchesComposition) {
       const std::vector<double> want_hi =
           ref.MatVecT(Endpoint::kUpper, ref.MatVec(Endpoint::kUpper, x));
       ExpectVectorNear(y, want_hi, "Gram.hi/" + CaseName(s, b, non_negative));
-      // Only the fused AVX2 route reads no transpose, and only it may be
-      // built without one.
-      const bool reads = SparseGramOperator::ReadsTranspose(m);
-      EXPECT_EQ(reads, spk::Resolve(b) != spk::Backend::kAvx2);
-      if (!reads) {
-        SparseGramOperator(m, Endpoint::kLower).Apply(x, y);
-        ExpectVectorNear(
-            y, want_lo, "TransposeFreeGram.lo/" + CaseName(s, b, non_negative));
-      }
+      // The transpose-free form works on every backend.
+      SparseGramOperator(m, Endpoint::kLower).Apply(x, y);
+      ExpectVectorNear(
+          y, want_lo, "TransposeFreeGram.lo/" + CaseName(s, b, non_negative));
     }
   }
 }
@@ -388,6 +413,219 @@ TEST_P(SparseKernelDiffTest, IntervalMultiplyDenseTransposeMatchesTranspose) {
   }
 }
 
+// The packed 16/32-bit sidecar of a matrix, built independently of the
+// matrix's own (lazily chosen) width so both widths run on every shape.
+struct PackedIndices {
+  std::vector<uint16_t> col16;
+  std::vector<uint32_t> col32;
+
+  explicit PackedIndices(const SparseIntervalMatrix& m) {
+    for (size_t c : m.col_idx()) {
+      col16.push_back(static_cast<uint16_t>(c));
+      col32.push_back(static_cast<uint32_t>(c));
+    }
+  }
+
+  spk::PackedCsrView View(const SparseIntervalMatrix& m, bool narrow) const {
+    spk::PackedCsrView view;
+    view.rows = m.rows();
+    view.cols = m.cols();
+    view.row_ptr = m.row_ptr().data();
+    if (narrow) {
+      view.col16 = col16.data();
+    } else {
+      view.col32 = col32.data();
+    }
+    return view;
+  }
+};
+
+// True when the spk::*Avx2 symbols may be called directly: they run real
+// AVX2 code when the AVX2 unit is compiled in, and forward to the scalar
+// kernels when it is not.
+bool CanCallAvx2Kernels() {
+  return !spk::Avx2Compiled() || spk::Avx2Supported();
+}
+
+// Runs an accumulating kernel fn(y) twice on zero-filled outputs of `len`
+// entries; the two results must be bit-identical. Returns the first.
+template <typename Fn>
+std::vector<double> RunTwiceBitEqual(size_t len, Fn&& fn,
+                                     const std::string& what) {
+  std::vector<double> first(len, 0.0), again(len, 0.0);
+  fn(first.data());
+  fn(again.data());
+  EXPECT_TRUE(first.empty() ||
+              std::memcmp(first.data(), again.data(),
+                          len * sizeof(double)) == 0)
+      << what << " repeat";
+  return first;
+}
+
+TEST_P(SparseKernelDiffTest, PackedScattersMatchScalarKernels) {
+  // The packed transpose scatters (scalar and AVX2) against the size_t
+  // scalar kernel, the packed midpoint scatter across index widths, the
+  // packed AVX2 transposed dense product against the packed scalar one, and
+  // the single-endpoint transposed dense product against the two-endpoint
+  // one, in both index widths. The grid has empty rows, rows shorter than
+  // and straddling the 16-entry block, and signed values; the dense widths
+  // cover odd counts and more than one 16-column register block.
+  const bool avx2 = CanCallAvx2Kernels();
+  const bool non_negative = GetParam();
+  Rng rng(19);
+  for (const Shape& s : MakeShapes(non_negative)) {
+    const SparseIntervalMatrix m = Build(s, spk::Backend::kScalar);
+    const spk::CsrView csr{m.rows(), m.cols(), m.row_ptr().data(),
+                           m.col_idx().data()};
+    const PackedIndices packed(m);
+    const double* lo = m.lower_values().data();
+    const double* hi = m.upper_values().data();
+    const std::vector<double> x = RandomVector(rng, s.rows);
+    const size_t rows = m.rows();
+    const size_t cols = m.cols();
+    std::vector<double> want_t(cols, 0.0), want_mid(cols, 0.0);
+    spk::MatVecTScalar(csr, hi, x.data(), want_t.data(), 0, rows);
+    for (bool narrow : {true, false}) {
+      const spk::PackedCsrView view = packed.View(m, narrow);
+      const std::string what =
+          s.name + (narrow ? "/u16" : "/u32") +
+          (non_negative ? "/nonneg" : "/signed");
+      ExpectVectorNear(
+          RunTwiceBitEqual(
+              cols,
+              [&](double* y) {
+                spk::MatVecTPackedScalar(view, hi, x.data(), y, 0, rows);
+              },
+              "MatVecTPackedScalar/" + what),
+          want_t, "MatVecTPackedScalar/" + what);
+      if (avx2) {
+        ExpectVectorNear(
+            RunTwiceBitEqual(
+                cols,
+                [&](double* y) {
+                  spk::MatVecTPackedAvx2(view, hi, x.data(), y, 0, rows);
+                },
+                "MatVecTPackedAvx2/" + what),
+            want_t, "MatVecTPackedAvx2/" + what);
+      }
+      const std::vector<double> mid = RunTwiceBitEqual(
+          cols,
+          [&](double* y) {
+            spk::MatVecTMidPackedScalar(view, lo, hi, x.data(), y, 0, rows);
+          },
+          "MatVecTMidPackedScalar/" + what);
+      if (narrow) {
+        want_mid = mid;
+      } else {
+        ExpectVectorNear(mid, want_mid, "MatVecTMidPackedScalar/" + what);
+      }
+      for (size_t bcols : {size_t{1}, size_t{3}, size_t{10}, size_t{37}}) {
+        const Matrix b = RandomDense(rng, rows, bcols);
+        const size_t len = cols * bcols;
+        std::vector<double> want_lo(len, 0.0), want_hi(len, 0.0);
+        spk::MatDenseTBothPackedScalar(view, lo, hi, b.data(), bcols,
+                                       want_lo.data(), want_hi.data(), 0,
+                                       rows);
+        const std::string dense = what + "/r" + std::to_string(bcols);
+        if (avx2) {
+          // Both endpoints' outputs in one buffer: lo, then hi.
+          const std::vector<double> got = RunTwiceBitEqual(
+              2 * len,
+              [&](double* c) {
+                spk::MatDenseTBothPackedAvx2(view, lo, hi, b.data(), bcols, c,
+                                             c + len, 0, rows);
+              },
+              "MatDenseTBothPackedAvx2/" + dense);
+          ExpectVectorNear({got.begin(), got.begin() + len}, want_lo,
+                           "MatDenseTBothPackedAvx2.lo/" + dense);
+          ExpectVectorNear({got.begin() + len, got.end()}, want_hi,
+                           "MatDenseTBothPackedAvx2.hi/" + dense);
+        }
+        std::vector<double> single(len, 0.0);
+        spk::MatDenseTPackedScalar(view, hi, b.data(), bcols, single.data(),
+                                   0, rows);
+        ExpectVectorNear(single, want_hi, "MatDenseTPackedScalar/" + what);
+      }
+    }
+  }
+}
+
+TEST_P(SparseKernelDiffTest, SellScattersAndGramMatchScalarKernels) {
+  // The SELL scatter and midpoint scatter, and both variants of the SELL
+  // fused Gram, against the CSR scalar kernels. The grid has row counts that are not a
+  // multiple of 4 (padded lanes), empty rows, one long row that pads its
+  // whole chunk, and signed values; sigma = 4 keeps the input row order,
+  // the default sorts within the window.
+  const bool non_negative = GetParam();
+  Rng rng(20);
+  for (const Shape& s : MakeShapes(non_negative)) {
+    const SparseIntervalMatrix m = Build(s, spk::Backend::kScalar);
+    const spk::CsrView csr{m.rows(), m.cols(), m.row_ptr().data(),
+                           m.col_idx().data()};
+    const PackedIndices packed(m);
+    const spk::PackedCsrView view = packed.View(m, /*narrow=*/false);
+    const std::vector<double> xr = RandomVector(rng, s.rows);
+    const std::vector<double> xc = RandomVector(rng, s.cols);
+    const size_t cols = m.cols();
+    for (bool upper : {false, true}) {
+      const double* v = upper ? m.upper_values().data()
+                              : m.lower_values().data();
+      std::vector<double> want_t(cols, 0.0), want_mid(cols, 0.0),
+          want_gram(cols, 0.0);
+      spk::MatVecTScalar(csr, v, xr.data(), want_t.data(), 0, m.rows());
+      spk::MatVecTMidPackedScalar(view, m.lower_values().data(),
+                                  m.upper_values().data(), xr.data(),
+                                  want_mid.data(), 0, m.rows());
+      spk::GramFusedScalar(csr, v, xc.data(), want_gram.data(), 0, m.rows());
+      for (size_t sigma : {size_t{4}, size_t{4096}}) {
+        const SellPack pack(m.rows(), m.cols(), m.row_ptr(), m.col_idx(),
+                            m.lower_values(), m.upper_values(), sigma);
+        const spk::SellView sv = pack.View();
+        const double* sv_v = pack.values(upper).data();
+        const double* sv_lo = pack.values(false).data();
+        const double* sv_hi = pack.values(true).data();
+        for (bool avx2 : {false, true}) {
+          if (avx2 && !CanCallAvx2Kernels()) continue;
+          const std::string what =
+              s.name + (upper ? "/hi" : "/lo") + "/sigma" +
+              std::to_string(sigma) + (avx2 ? "/avx2" : "/scalar") +
+              (non_negative ? "/nonneg" : "/signed");
+          const auto gram = avx2 ? spk::SellGramFusedAvx2
+                                 : spk::SellGramFusedScalar;
+          if (!avx2) {
+            ExpectVectorNear(
+                RunTwiceBitEqual(
+                    cols,
+                    [&](double* y) {
+                      spk::SellMatVecTScalar(sv, sv_v, xr.data(), y, 0,
+                                             sv.chunks);
+                    },
+                    "SellMatVecT/" + what),
+                want_t, "SellMatVecT/" + what);
+            ExpectVectorNear(
+                RunTwiceBitEqual(
+                    cols,
+                    [&](double* y) {
+                      spk::SellMatVecTMidScalar(sv, sv_lo, sv_hi, xr.data(),
+                                                y, 0, sv.chunks);
+                    },
+                    "SellMatVecTMid/" + what),
+                want_mid, "SellMatVecTMid/" + what);
+          }
+          ExpectVectorNear(
+              RunTwiceBitEqual(
+                  cols,
+                  [&](double* y) {
+                    gram(sv, sv_v, xc.data(), y, 0, sv.chunks);
+                  },
+                  "SellGramFused/" + what),
+              want_gram, "SellGramFused/" + what);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Regimes, SparseKernelDiffTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
@@ -441,12 +679,25 @@ TEST(SparseKernelScatterTest, IntervalMultiplyDenseTransposeLargeShapes) {
     }
     SparseIntervalMatrix scalar =
         SparseIntervalMatrix::FromTriplets(c.rows, c.cols, std::move(entries));
+    scalar.set_kernel(spk::Backend::kScalar);
     const Matrix b_dense = RandomDense(rng, c.rows, c.bcols);
     for (spk::Backend b : kBackends) {
       SparseIntervalMatrix m = scalar;
       m.set_kernel(b);
       ExpectTransposeProductMatches(
           m, b_dense, std::string(c.name) + "/" + spk::BackendName(b));
+      // The vector scatters split across workers too.
+      const std::vector<double> x = RandomVector(rng, c.rows);
+      std::vector<double> want, got;
+      scalar.MultiplyTranspose(Endpoint::kUpper, x, want);
+      m.MultiplyTranspose(Endpoint::kUpper, x, got);
+      ExpectVectorNear(got, want, std::string(c.name) + "/MultiplyTranspose/" +
+                                      spk::BackendName(b));
+      scalar.MultiplyTransposeMid(x, want);
+      m.MultiplyTransposeMid(x, got);
+      ExpectVectorNear(got, want, std::string(c.name) +
+                                      "/MultiplyTransposeMid/" +
+                                      spk::BackendName(b));
     }
   }
 }
@@ -473,8 +724,8 @@ TEST(SparseKernelContractTest, BackendParsingAndResolution) {
     EXPECT_EQ(avx2, spk::Backend::kScalar);
   }
   EXPECT_EQ(spk::Resolve(spk::Backend::kSell), spk::Backend::kSell);
-  // SELL covers only the forward matvec family; the others fall back to a
-  // CSR variant.
+  // SELL does not cover the dense products; they fall back to a CSR
+  // variant.
   const spk::Backend csr = spk::CsrVariant(spk::Backend::kSell);
   EXPECT_NE(csr, spk::Backend::kSell);
 }

@@ -122,7 +122,8 @@ std::vector<double> RandomVector(Rng& rng, size_t n) {
 }
 
 // One trial: build the matrix once, clone per backend, compare every kernel
-// against the scalar clone.
+// against the scalar clone. The transposed products run as row scatters
+// over each backend's own layout: packed AVX2 rows or SELL chunks.
 void RunTrial(uint64_t seed, RowDist dist) {
   Rng rng(seed);
   const size_t rows = 1 + rng.UniformIndex(120);
@@ -147,13 +148,21 @@ void RunTrial(uint64_t seed, RowDist dist) {
   }
 
   // Scalar reference outputs.
-  std::vector<double> ref_lo, ref_hi, ref_hi_x2, ref_mid, ref_t, ref_gram_lo,
-      ref_gram_hi;
+  std::vector<double> ref_lo, ref_hi, ref_hi_x2, ref_mid, ref_t, ref_t_mid,
+      ref_gram_lo, ref_gram_hi;
   scalar.Multiply(Endpoint::kLower, x, ref_lo);
   scalar.Multiply(Endpoint::kUpper, x, ref_hi);
   scalar.Multiply(Endpoint::kUpper, x2, ref_hi_x2);
   scalar.MultiplyMid(x, ref_mid);
   scalar.MultiplyTranspose(Endpoint::kLower, xt, ref_t);
+  scalar.MultiplyTransposeMid(xt, ref_t_mid);
+  Matrix bt(rows, 3);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < 3; ++j) bt(i, j) = rng.Uniform(-2.0, 2.0);
+  }
+  const Matrix ref_dense_t =
+      scalar.MultiplyDenseTranspose(Endpoint::kLower, bt);
+  const IntervalMatrix ref_iprod_t = scalar.IntervalMultiplyDenseTranspose(bt);
   const Matrix ref_dense = scalar.MultiplyDense(Endpoint::kUpper, b);
   const IntervalMatrix ref_iprod = scalar.IntervalMultiplyDense(b);
   SparseGramOperator(scalar, scalar_t, Endpoint::kLower).Apply(x, ref_gram_lo);
@@ -185,6 +194,16 @@ void RunTrial(uint64_t seed, RowDist dist) {
     ExpectAgree(y, ref_hi_x2, what + "/multiply.hi.x2");
     m.MultiplyTranspose(Endpoint::kLower, xt, y);
     ExpectAgree(y, ref_t, what + "/transpose");
+    std::vector<double> again;
+    m.MultiplyTranspose(Endpoint::kLower, xt, again);
+    ASSERT_EQ(y, again) << what << "/transpose repeat";
+    m.MultiplyTransposeMid(xt, y);
+    ExpectAgree(y, ref_t_mid, what + "/transpose_mid");
+    ExpectAgree(m.MultiplyDenseTranspose(Endpoint::kLower, bt), ref_dense_t,
+                what + "/dense_t");
+    const IntervalMatrix iprod_t = m.IntervalMultiplyDenseTranspose(bt);
+    ExpectAgree(iprod_t.lower(), ref_iprod_t.lower(), what + "/iprod_t.lo");
+    ExpectAgree(iprod_t.upper(), ref_iprod_t.upper(), what + "/iprod_t.hi");
     ExpectAgree(m.MultiplyDense(Endpoint::kUpper, b), ref_dense,
                 what + "/dense");
     const IntervalMatrix iprod = m.IntervalMultiplyDense(b);
@@ -199,6 +218,10 @@ void RunTrial(uint64_t seed, RowDist dist) {
     ExpectAgree(y, ref_gram_lo, what + "/gram_fused.lo");
     m.GramMultiply(Endpoint::kUpper, x, y);
     ExpectAgree(y, ref_gram_hi, what + "/gram_fused.hi");
+    m.GramMultiply(Endpoint::kUpper, x, again);
+    ASSERT_EQ(y, again) << what << "/gram_fused repeat";
+    SparseGramOperator(m, Endpoint::kLower).Apply(x, y);
+    ExpectAgree(y, ref_gram_lo, what + "/gram_transpose_free.lo");
   }
 }
 
