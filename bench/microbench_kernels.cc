@@ -307,6 +307,54 @@ BENCHMARK(BM_SparseGramApply)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplyScalar)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplySell)->Arg(2000)->Arg(8000)->Arg(20000);
 
+// The endpoint-pair kernels the lock-step Krylov solvers run: both
+// endpoints of one step in one call (one pass over the packed pattern on
+// AVX2; the two single kernels in one parallel region elsewhere). Items
+// count both endpoints, so items_per_second compares directly with the
+// single-endpoint rows above; the time of one pair call compares with two
+// single calls.
+enum class PairKernel { kGram, kMultiply, kMultiplyTranspose };
+
+void SparsePairBench(benchmark::State& state, PairKernel kernel) {
+  const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
+  state.SetLabel(ResolvedName(m));
+  const size_t in =
+      kernel == PairKernel::kMultiplyTranspose ? m.rows() : m.cols();
+  std::vector<double> x_lo(in, 1.0), x_hi(in, 0.5), y_lo, y_hi;
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  for (auto _ : state) {
+    switch (kernel) {
+      case PairKernel::kGram:
+        m.GramMultiplyPair(x_lo, x_hi, y_lo, y_hi);
+        break;
+      case PairKernel::kMultiply:
+        m.MultiplyPair(x_lo, x_hi, y_lo, y_hi);
+        break;
+      case PairKernel::kMultiplyTranspose:
+        m.MultiplyTransposePair(x_lo, x_hi, y_lo, y_hi);
+        break;
+    }
+    benchmark::DoNotOptimize(y_lo.data());
+    benchmark::DoNotOptimize(y_hi.data());
+  }
+  ReportMatvecCounters(state, before);
+  const int64_t products = kernel == PairKernel::kGram ? 4 : 2;
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          products * static_cast<int64_t>(m.nnz()));
+}
+void BM_SparseGramApplyPair(benchmark::State& state) {
+  SparsePairBench(state, PairKernel::kGram);
+}
+void BM_SparseMultiplyPair(benchmark::State& state) {
+  SparsePairBench(state, PairKernel::kMultiply);
+}
+void BM_SparseMultiplyTransposePair(benchmark::State& state) {
+  SparsePairBench(state, PairKernel::kMultiplyTranspose);
+}
+BENCHMARK(BM_SparseGramApplyPair)->Arg(2000)->Arg(8000)->Arg(20000);
+BENCHMARK(BM_SparseMultiplyPair)->Arg(2000)->Arg(8000)->Arg(20000);
+BENCHMARK(BM_SparseMultiplyTransposePair)->Arg(2000)->Arg(8000)->Arg(20000);
+
 // One cold rank-10 Golub–Kahan–Lanczos SVD (the ISVD0/ISVD1 solve) of the
 // upper endpoint of a short-row CF matrix: 20 users per item and ~8
 // ratings per user, the serve_ingest regime. The users x items orientation
@@ -433,6 +481,28 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
                                              : "/gram_fused.hi"))
                            .c_str());
   }
+  // The endpoint pairs against two scalar single-endpoint applies, with a
+  // different vector per side.
+  std::vector<double> x_hi(m.cols()), xt_hi(m.rows());
+  for (double& v : x_hi) v = rng.Uniform(-1.0, 1.0);
+  for (double& v : xt_hi) v = rng.Uniform(-1.0, 1.0);
+  std::vector<double> want_hi, got_hi;
+  const auto check_pair = [&](const char* what) {
+    ok &= VectorsAgree(got, want, (label + what + ".lo").c_str());
+    ok &= VectorsAgree(got_hi, want_hi, (label + what + ".hi").c_str());
+  };
+  scalar.GramMultiply(kLower, x, want);
+  scalar.GramMultiply(kUpper, x_hi, want_hi);
+  m.GramMultiplyPair(x, x_hi, got, got_hi);
+  check_pair("/gram_pair");
+  scalar.Multiply(kLower, x, want);
+  scalar.Multiply(kUpper, x_hi, want_hi);
+  m.MultiplyPair(x, x_hi, got, got_hi);
+  check_pair("/multiply_pair");
+  scalar.MultiplyTranspose(kLower, xt, want);
+  scalar.MultiplyTranspose(kUpper, xt_hi, want_hi);
+  m.MultiplyTransposePair(xt, xt_hi, got, got_hi);
+  check_pair("/transpose_pair");
   return ok;
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 
+#include "base/parallel.h"
 #include "base/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -285,150 +286,225 @@ bool TridiagonalQL(std::vector<double>& diag, std::vector<double>& off,
   return true;
 }
 
+namespace {
+
+// One Lanczos sequence with full reorthogonalization, as a state object: the
+// driver applies the operator to x() into y() and calls Step() until the
+// sequence stops, then takes the Ritz pairs from Finish(). The single and
+// the pair drivers below share it, so the recurrence is written once.
+class EigSequence {
+ public:
+  EigSequence(size_t n, size_t rank, const LanczosOptions& options)
+      : options_(options),
+        instruments_(EigInstruments::Get()),
+        orth_timer_(instruments_.orth_seconds),
+        n_(n),
+        // rank == 0 (or an over-ask) means the full spectrum: grow the
+        // Krylov basis to the whole space.
+        rank_((rank == 0 || rank > n) ? n : rank),
+        steps_(std::min(n, static_cast<size_t>(options.subspace_factor *
+                                               static_cast<double>(rank_)) +
+                               options.subspace_extra)),
+        q_(steps_, n),
+        alpha_(steps_, 0.0),
+        beta_(steps_, 0.0),
+        rng_(options.seed),
+        v_(n),
+        w_(n) {
+    instruments_.solves.Add(1);
+    if (!lanczos_internal::WarmStartVector(options.start_basis, n, v_)) {
+      for (double& x : v_) x = rng_.Normal();
+      const double norm = Norm2(v_);
+      for (double& x : v_) x /= norm;
+    }
+    if (steps_ > 0) {
+      std::copy(v_.begin(), v_.end(), q_.RowPtr(0));
+      active_ = true;
+      built_ = 1;
+    }
+  }
+
+  bool active() const { return active_; }
+
+  // The Krylov vector q_j the next apply reads, and the buffer it writes.
+  const std::vector<double>& x() const { return v_; }
+  std::vector<double>& y() { return w_; }
+
+  // Consumes w = A q_j: one step of the three-term recurrence with full
+  // reorthogonalization, then either q_{j+1} is ready in x() or the
+  // sequence has stopped.
+  void Step() {
+    const size_t j = built_ - 1;
+    if (j > 0) {
+      const double* prev = q_.RowPtr(j - 1);
+      for (size_t i = 0; i < n_; ++i) w_[i] -= beta_[j - 1] * prev[i];
+    }
+    double aj = 0.0;
+    for (size_t i = 0; i < n_; ++i) aj += w_[i] * v_[i];
+    alpha_[j] = aj;
+    for (size_t i = 0; i < n_; ++i) w_[i] -= aj * v_[i];
+
+    // Full reorthogonalization against the basis built so far.
+    orth_timer_.Start();
+    lanczos_internal::Reorthogonalize(q_, j + 1, w_);
+    orth_timer_.Stop();
+
+    const double wnorm = Norm2(w_);
+    last_wnorm_ = wnorm;
+    if (j + 1 >= steps_) {
+      active_ = false;
+      return;
+    }
+    beta_[j] = wnorm;
+    if (wnorm <= options_.tolerance) {
+      // Invariant subspace found: restart with a fresh random direction
+      // orthogonal to the basis (beta stays 0, so the tridiagonal problem
+      // block-decouples) and keep building to the subspace cap. Two
+      // reasons not to stop early: a rank-deficient operator (e.g. the
+      // Gram of an all-zero endpoint) would deliver fewer eigenpairs than
+      // its sibling endpoint and crash the ISVD pairing downstream, and a
+      // single Krylov sequence sees each eigenvalue of a degenerate
+      // cluster exactly once — only the restarted blocks capture the
+      // remaining copies of duplicate eigenvalues.
+      beta_[j] = 0.0;
+      instruments_.restarts.Add(1);
+      orth_timer_.Start();
+      const bool restarted = lanczos_internal::RestartVector(
+          q_, j + 1, w_, rng_, options_.restart_tolerance);
+      orth_timer_.Stop();
+      if (!restarted) {
+        // No acceptable direction remains: the basis cannot grow, so the
+        // spectrum delivered below may be shorter than requested. Recorded
+        // (rather than silently stopped) so `truncated` reaches the caller.
+        exhausted_ = true;
+        active_ = false;
+        return;
+      }
+    } else {
+      double* next = q_.RowPtr(j + 1);
+      for (size_t i = 0; i < n_; ++i) next[i] = w_[i] / wnorm;
+      if (Converged(wnorm)) {
+        active_ = false;
+        return;
+      }
+    }
+    std::copy(q_.RowPtr(j + 1), q_.RowPtr(j + 1) + n_, v_.begin());
+    ++built_;
+  }
+
+  // The top-`rank` Ritz pairs of the basis built.
+  EigResult Finish() {
+    // Solve the built x built tridiagonal eigenproblem.
+    std::vector<double> diag(alpha_.begin(), alpha_.begin() + built_);
+    std::vector<double> off;
+    for (size_t i = 0; i + 1 < built_; ++i) off.push_back(beta_[i]);
+    Matrix z = Matrix::Identity(built_);
+    IVMF_CHECK_MSG(TridiagonalQL(diag, off, &z), "tridiagonal QL failed");
+
+    // Take the top-`rank` (largest) Ritz pairs; TridiagonalQL sorts
+    // ascending.
+    const size_t keep = std::min(rank_, built_);
+    EigResult result;
+    result.truncated = exhausted_ && keep < rank_;
+    result.iterations = built_;
+    result.eigenvalues.resize(keep);
+    Matrix coef(built_, keep);
+    for (size_t out = 0; out < keep; ++out) {
+      const size_t src = built_ - 1 - out;  // descending order
+      result.eigenvalues[out] = diag[src];
+      for (size_t k = 0; k < built_; ++k) coef(k, out) = z(k, src);
+    }
+    result.eigenvectors = lanczos_internal::RitzVectors(q_, coef);
+    CanonicalizeEigenvectorSigns(result.eigenvectors);
+    instruments_.iterations.Add(built_);
+    if (obs::Enabled()) {
+      // Ritz residual bound |beta_m * z(m-1, i)|, maximized over the
+      // returned pairs — how strongly the kept spectrum still couples to
+      // the unexplored space.
+      double max_residual = 0.0;
+      for (size_t out = 0; out < keep; ++out) {
+        max_residual = std::max(
+            max_residual,
+            std::abs(last_wnorm_ * z(built_ - 1, built_ - 1 - out)));
+      }
+      instruments_.residual.Set(max_residual);
+    }
+    return result;
+  }
+
+ private:
+  // Optional early exit: the residual of Ritz pair i is |beta_j * z_last,i|,
+  // so the coupling to the unexplored space bounds every pair at once. Only
+  // meaningful once the basis can hold the requested count.
+  bool Converged(double wnorm) const {
+    if (!(options_.convergence_tol > 0.0) || built_ < rank_ ||
+        options_.convergence_interval == 0 ||
+        built_ % options_.convergence_interval != 0) {
+      return false;
+    }
+    std::vector<double> d(alpha_.begin(),
+                          alpha_.begin() + static_cast<ptrdiff_t>(built_));
+    std::vector<double> e(beta_.begin(),
+                          beta_.begin() + static_cast<ptrdiff_t>(built_ - 1));
+    Matrix z = Matrix::Identity(built_);
+    if (!TridiagonalQL(d, e, &z)) return false;
+    double theta_max = 0.0;
+    for (const double t : d) theta_max = std::max(theta_max, std::abs(t));
+    const double bound = options_.convergence_tol * theta_max;
+    if (!(theta_max > 0.0)) return false;
+    for (size_t i = 0; i < rank_; ++i) {
+      const size_t src = built_ - 1 - i;  // largest pairs sort last
+      if (std::abs(wnorm * z(built_ - 1, src)) > bound) return false;
+    }
+    return true;
+  }
+
+  const LanczosOptions& options_;
+  EigInstruments& instruments_;
+  lanczos_internal::OrthTimer orth_timer_;
+  const size_t n_;
+  const size_t rank_;   // pairs requested, clamped to n
+  const size_t steps_;  // Krylov dimension cap
+  Matrix q_;            // row k is the Krylov vector q_k
+  std::vector<double> alpha_, beta_;
+  Rng rng_;
+  std::vector<double> v_, w_;
+  size_t built_ = 0;  // basis vectors in use: q_0 .. q_{built-1}
+  double last_wnorm_ = 0.0;
+  bool active_ = false;
+  bool exhausted_ = false;
+};
+
+}  // namespace
+
 EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
                             const LanczosOptions& options) {
   obs::TraceSpan span("lanczos.eig");
-  EigInstruments& instruments = EigInstruments::Get();
-  lanczos_internal::OrthTimer orth_timer(instruments.orth_seconds);
-  instruments.solves.Add(1);
-  const size_t n = op.Dim();
-  // rank == 0 (or an over-ask) means the full spectrum: grow the Krylov
-  // basis to the whole space.
-  const size_t effective_rank = (rank == 0 || rank > n) ? n : rank;
-
-  // Krylov dimension.
-  const size_t m = std::min(
-      n, static_cast<size_t>(options.subspace_factor * effective_rank) +
-             options.subspace_extra);
-
-  // Lanczos basis with full reorthogonalization: row k of `q` is the
-  // Krylov vector q_k.
-  Matrix q(m, n);
-  std::vector<double> alpha(m, 0.0), beta(m, 0.0);
-
-  Rng rng(options.seed);
-  std::vector<double> v(n), w(n);
-  if (!lanczos_internal::WarmStartVector(options.start_basis, n, v)) {
-    for (double& x : v) x = rng.Normal();
-    const double norm = Norm2(v);
-    for (double& x : v) x /= norm;
+  EigSequence seq(op.Dim(), rank, options);
+  while (seq.active()) {
+    op.Apply(seq.x(), seq.y());
+    seq.Step();
   }
-  std::copy(v.begin(), v.end(), q.RowPtr(0));
+  return seq.Finish();
+}
 
-  bool exhausted = false;
-  size_t built = 0;
-  double last_wnorm = 0.0;
-  for (size_t j = 0; j < m; ++j) {
-    built = j + 1;
-    std::copy(q.RowPtr(j), q.RowPtr(j) + n, v.begin());
-    op.Apply(v, w);
-    if (j > 0) {
-      const double* prev = q.RowPtr(j - 1);
-      for (size_t i = 0; i < n; ++i) w[i] -= beta[j - 1] * prev[i];
-    }
-    double aj = 0.0;
-    for (size_t i = 0; i < n; ++i) aj += w[i] * v[i];
-    alpha[j] = aj;
-    for (size_t i = 0; i < n; ++i) w[i] -= aj * v[i];
-
-    // Full reorthogonalization against the basis built so far.
-    orth_timer.Start();
-    lanczos_internal::Reorthogonalize(q, j + 1, w);
-    orth_timer.Stop();
-
-    const double wnorm = Norm2(w);
-    last_wnorm = wnorm;
-    if (j + 1 < m) {
-      beta[j] = wnorm;
-      if (wnorm <= options.tolerance) {
-        // Invariant subspace found: restart with a fresh random direction
-        // orthogonal to the basis (beta stays 0, so the tridiagonal problem
-        // block-decouples) and keep building to the subspace cap. Two
-        // reasons not to stop early: a rank-deficient operator (e.g. the
-        // Gram of an all-zero endpoint) would deliver fewer eigenpairs than
-        // its sibling endpoint and crash the ISVD pairing downstream, and a
-        // single Krylov sequence sees each eigenvalue of a degenerate
-        // cluster exactly once — only the restarted blocks capture the
-        // remaining copies of duplicate eigenvalues.
-        beta[j] = 0.0;
-        instruments.restarts.Add(1);
-        orth_timer.Start();
-        const bool restarted = lanczos_internal::RestartVector(
-            q, j + 1, w, rng, options.restart_tolerance);
-        orth_timer.Stop();
-        if (!restarted) {
-          // No acceptable direction remains: the basis cannot grow, so the
-          // spectrum delivered below may be shorter than requested. Recorded
-          // (rather than silently broken out of) so `truncated` reaches the
-          // caller.
-          exhausted = true;
-          break;
-        }
-        continue;
-      }
-      double* next = q.RowPtr(j + 1);
-      for (size_t i = 0; i < n; ++i) next[i] = w[i] / wnorm;
-
-      // Optional early exit: residual of Ritz pair i is |beta_j * z_last,i|,
-      // so the coupling to the unexplored space bounds every pair at once.
-      // Only meaningful once the basis can hold the requested count.
-      if (options.convergence_tol > 0.0 && built >= effective_rank &&
-          options.convergence_interval > 0 &&
-          built % options.convergence_interval == 0) {
-        std::vector<double> d(alpha.begin(),
-                              alpha.begin() + static_cast<ptrdiff_t>(built));
-        std::vector<double> e;
-        for (size_t i = 0; i + 1 < built; ++i) e.push_back(beta[i]);
-        Matrix z = Matrix::Identity(built);
-        if (TridiagonalQL(d, e, &z)) {
-          double theta_max = 0.0;
-          for (const double t : d) theta_max = std::max(theta_max, std::abs(t));
-          const double bound = options.convergence_tol * theta_max;
-          bool converged = theta_max > 0.0;
-          for (size_t i = 0; i < effective_rank && converged; ++i) {
-            const size_t src = built - 1 - i;  // largest pairs sort last
-            if (std::abs(wnorm * z(built - 1, src)) > bound) converged = false;
-          }
-          if (converged) break;
-        }
-      }
+std::array<EigResult, 2> ComputeLanczosEigPair(
+    const LinearOperatorPair& op, size_t rank,
+    const LanczosOptions& lo_options, const LanczosOptions& hi_options) {
+  obs::TraceSpan span("lanczos.eig");
+  EigSequence seq[2] = {EigSequence(op.Dim(), rank, lo_options),
+                        EigSequence(op.Dim(), rank, hi_options)};
+  while (seq[0].active() && seq[1].active()) {
+    op.ApplyPair(seq[0].x(), seq[1].x(), seq[0].y(), seq[1].y());
+    ParallelFor(0, 2, [&](size_t side) { seq[side].Step(); });
+  }
+  for (size_t side = 0; side < 2; ++side) {
+    while (seq[side].active()) {
+      op.Apply(side, seq[side].x(), seq[side].y());
+      seq[side].Step();
     }
   }
-
-  // Solve the m' x m' tridiagonal eigenproblem.
-  std::vector<double> diag(alpha.begin(), alpha.begin() + built);
-  std::vector<double> off;
-  for (size_t i = 0; i + 1 < built; ++i) off.push_back(beta[i]);
-  Matrix z = Matrix::Identity(built);
-  IVMF_CHECK_MSG(TridiagonalQL(diag, off, &z), "tridiagonal QL failed");
-
-  // Take the top-`rank` (largest) Ritz pairs; TridiagonalQL sorts ascending.
-  const size_t keep = std::min(effective_rank, built);
-  EigResult result;
-  result.truncated = exhausted && keep < effective_rank;
-  result.iterations = built;
-  result.eigenvalues.resize(keep);
-  Matrix coef(built, keep);
-  for (size_t out = 0; out < keep; ++out) {
-    const size_t src = built - 1 - out;  // descending order
-    result.eigenvalues[out] = diag[src];
-    for (size_t k = 0; k < built; ++k) coef(k, out) = z(k, src);
-  }
-  result.eigenvectors = lanczos_internal::RitzVectors(q, coef);
-  CanonicalizeEigenvectorSigns(result.eigenvectors);
-  instruments.iterations.Add(built);
-  if (obs::Enabled()) {
-    // Ritz residual bound |beta_m * z(m-1, i)|, maximized over the returned
-    // pairs — how strongly the kept spectrum still couples to the
-    // unexplored space.
-    double max_residual = 0.0;
-    for (size_t out = 0; out < keep; ++out) {
-      max_residual = std::max(
-          max_residual, std::abs(last_wnorm * z(built - 1, built - 1 - out)));
-    }
-    instruments.residual.Set(max_residual);
-  }
-  return result;
+  return {seq[0].Finish(), seq[1].Finish()};
 }
 
 EigResult ComputeLanczosEig(const Matrix& a, size_t rank,

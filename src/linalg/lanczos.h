@@ -9,6 +9,20 @@
 // low rank while agreeing with Jacobi to ~1e-8 (see the kernels
 // microbenchmark and tests/lanczos_test.cc).
 //
+// One Krylov sequence is a state object (internal to lanczos.cc): the
+// driver applies the operator to its current vector and hands the result
+// back for one step of the recurrence, until the sequence stops. Two
+// drivers share it. ComputeLanczosEig drives one sequence.
+// ComputeLanczosEigPair drives two in lock-step — the lower and upper
+// endpoint Grams of an interval matrix — so that every step makes one
+// LinearOperatorPair::ApplyPair, which the sparse operators serve with one
+// pass over the shared sparsity pattern, and then advances both
+// recurrences in one ParallelFor. Each side keeps its own LanczosOptions
+// (warm basis, early exit, restarts, `truncated`); once one side stops,
+// the other continues on single-side applies. A pair solve returns what
+// two single solves with the same options return, up to the roundoff of
+// the pair kernels.
+//
 // Both Krylov solvers (this one and the Golub–Kahan–Lanczos SVD in
 // linalg/lanczos_svd.h) keep each basis in one steps x n buffer, one
 // Krylov vector per contiguous row, and reorthogonalize with one shared
@@ -25,6 +39,7 @@
 #ifndef IVMF_LINALG_LANCZOS_H_
 #define IVMF_LINALG_LANCZOS_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -90,6 +105,14 @@ EigResult ComputeLanczosEig(const Matrix& a, size_t rank,
 // still returns the complete spectrum.
 EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
                             const LanczosOptions& options = {});
+
+// Both sides of an operator pair in lock-step: element 0 holds the
+// eigenpairs of side 0 solved with `lo_options`, element 1 those of side 1
+// with `hi_options`. Same results, iteration counts and `truncated` flags
+// as ComputeLanczosEig on each side alone, up to the roundoff of ApplyPair.
+std::array<EigResult, 2> ComputeLanczosEigPair(
+    const LinearOperatorPair& op, size_t rank,
+    const LanczosOptions& lo_options, const LanczosOptions& hi_options);
 
 namespace lanczos_internal {
 

@@ -44,6 +44,18 @@
 // LanczosOptions::restart_tolerance), the result is marked `truncated`
 // instead of silently delivering fewer triplets.
 //
+// The bidiagonalization is a state object (internal to lanczos_svd.cc)
+// that names the apply it waits for — forward or transpose — and consumes
+// its result. ComputeLanczosSvd drives one. ComputeLanczosSvdPair drives
+// the lower and upper endpoint maps of ISVD1 in lock-step, as the
+// eigensolver's pair driver does (linalg/lanczos.h): each step makes one
+// paired forward and one paired transpose apply, each one pass over the
+// shared sparsity pattern, and advances both recurrences in one
+// ParallelFor. A warm side needs no start apply while a cold side does;
+// that round runs only the cold side's transpose apply, after which the
+// two alternate in step. Once one side stops, the other continues on
+// single-side applies.
+//
 // Streaming refreshes pass LanczosOptions::start_basis (the previous
 // step's right singular vectors) to warm-start the bidiagonalization and
 // convergence_tol to stop as soon as the requested triplets' residuals are
@@ -68,6 +80,15 @@ namespace ivmf {
 // tolerance).
 SvdResult ComputeLanczosSvd(const LinearMap& a, size_t rank,
                             const LanczosOptions& options = {});
+
+// Both sides of a map pair in lock-step: element 0 holds the triplets of
+// side 0 solved with `lo_options`, element 1 those of side 1 with
+// `hi_options`. Same results, iteration counts and `truncated` flags as
+// ComputeLanczosSvd on each side alone, up to the roundoff of the paired
+// applies.
+std::array<SvdResult, 2> ComputeLanczosSvdPair(
+    const LinearMapPair& a, size_t rank, const LanczosOptions& lo_options,
+    const LanczosOptions& hi_options);
 
 // Dense convenience overload (used by tests and small-matrix callers).
 SvdResult ComputeLanczosSvd(const Matrix& a, size_t rank,

@@ -21,8 +21,8 @@ namespace ivmf {
 
 // A symmetric linear operator on R^n, defined solely by its action
 // y = A x. Implementations must be safe to Apply concurrently from
-// different operator instances (ComputeGramEig runs the lower/upper
-// endpoint solves on two threads, one operator each).
+// different operator instances (callers may run independent solves on
+// separate threads, one operator each).
 //
 // Aliasing contract (interface-wide, for LinearMap too): `y` must be a
 // distinct vector from `x` — implementations stream the input while
@@ -63,6 +63,56 @@ class LinearMap {
   // y = Aᵀ x. `x` has Rows() entries; `y` is resized to Cols().
   virtual void ApplyTranspose(const std::vector<double>& x,
                               std::vector<double>& y) const = 0;
+};
+
+// Two operators on R^n that one pass over shared data can apply together:
+// the lower (side 0) and upper (side 1) endpoint Grams of an interval
+// matrix, whose endpoint arrays share one sparsity pattern. The lock-step
+// eigensolver (ComputeLanczosEigPair) makes one ApplyPair per step while
+// both sides run, and single-side Applys once one has stopped. The
+// aliasing contract of LinearOperator holds for every argument.
+class LinearOperatorPair {
+ public:
+  virtual ~LinearOperatorPair() = default;
+
+  virtual size_t Dim() const = 0;
+
+  // y = A_side x for side 0 or 1.
+  virtual void Apply(size_t side, const std::vector<double>& x,
+                     std::vector<double>& y) const = 0;
+
+  // y0 = A_0 x0 and y1 = A_1 x1, in one pass where the data allows.
+  virtual void ApplyPair(const std::vector<double>& x0,
+                         const std::vector<double>& x1,
+                         std::vector<double>& y0,
+                         std::vector<double>& y1) const = 0;
+};
+
+// The rectangular counterpart for the lock-step Golub–Kahan SVD
+// (ComputeLanczosSvdPair): two maps of one shape, side 0 and side 1, with
+// single-side and paired forward and transpose actions.
+class LinearMapPair {
+ public:
+  virtual ~LinearMapPair() = default;
+
+  virtual size_t Rows() const = 0;
+  virtual size_t Cols() const = 0;
+
+  // y = A_side x and y = A_sideᵀ x for side 0 or 1.
+  virtual void Apply(size_t side, const std::vector<double>& x,
+                     std::vector<double>& y) const = 0;
+  virtual void ApplyTranspose(size_t side, const std::vector<double>& x,
+                              std::vector<double>& y) const = 0;
+
+  // Both sides' forward (resp. transpose) actions in one pass.
+  virtual void ApplyPair(const std::vector<double>& x0,
+                         const std::vector<double>& x1,
+                         std::vector<double>& y0,
+                         std::vector<double>& y1) const = 0;
+  virtual void ApplyTransposePair(const std::vector<double>& x0,
+                                  const std::vector<double>& x1,
+                                  std::vector<double>& y0,
+                                  std::vector<double>& y1) const = 0;
 };
 
 // Adapter exposing a dense Matrix as a LinearMap. Both actions stream the

@@ -553,6 +553,21 @@ bool ShardedSparseIntervalMatrix::IsNonNegative(double tol) const {
 
 // -- Forward kernels (row-parallel over shards) ------------------------------
 
+void ShardedSparseIntervalMatrix::MultiplySeg(const SegRef& seg, Endpoint e,
+                                              const double* x,
+                                              double* y) const {
+  const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
+  if (seg.sell != nullptr) {
+    seg.sell->MatVec(e == Endpoint::kUpper, x, y + seg.offset);
+  } else if (csr_variant_ == spk::Backend::kAvx2) {
+    spk::MatVecPackedAvx2(seg.view, v, x, y + seg.offset, seg.row_begin,
+                          seg.row_end);
+  } else {
+    spk::MatVecPackedScalar(seg.view, v, x, y + seg.offset, seg.row_begin,
+                            seg.row_end);
+  }
+}
+
 void ShardedSparseIntervalMatrix::Multiply(Endpoint e,
                                            const std::vector<double>& x,
                                            std::vector<double>& y) const {
@@ -563,16 +578,7 @@ void ShardedSparseIntervalMatrix::Multiply(Endpoint e,
   y.resize(rows_);
   ParallelFor(0, shards_.size(), [&](size_t s) {
     const SegRef seg = Seg(s);
-    const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
-    if (seg.sell != nullptr) {
-      seg.sell->MatVec(e == Endpoint::kUpper, x.data(), y.data() + seg.offset);
-    } else if (csr_variant_ == spk::Backend::kAvx2) {
-      spk::MatVecPackedAvx2(seg.view, v, x.data(), y.data() + seg.offset,
-                            seg.row_begin, seg.row_end);
-    } else {
-      spk::MatVecPackedScalar(seg.view, v, x.data(), y.data() + seg.offset,
-                              seg.row_begin, seg.row_end);
-    }
+    MultiplySeg(seg, e, x.data(), y.data());
     MaybeDropResidency(seg);
   });
 }
@@ -715,28 +721,30 @@ void ShardedSparseIntervalMatrix::ReduceOverShards(
       /*max_threads=*/0, /*min_items_per_thread=*/4096);
 }
 
+void ShardedSparseIntervalMatrix::ScatterSeg(const SegRef& seg, Endpoint e,
+                                             const double* x,
+                                             double* y) const {
+  const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
+  const double* xs = x + seg.offset;
+  if (seg.sell != nullptr) {
+    seg.sell->MatVecT(e == Endpoint::kUpper, xs, y, 0, seg.sell->chunks());
+  } else if (csr_variant_ == spk::Backend::kAvx2) {
+    spk::MatVecTPackedAvx2(seg.view, v, xs, y, seg.row_begin, seg.row_end);
+  } else {
+    spk::MatVecTPackedScalar(seg.view, v, xs, y, seg.row_begin, seg.row_end);
+  }
+}
+
 void ShardedSparseIntervalMatrix::MultiplyTranspose(
     Endpoint e, const std::vector<double>& x, std::vector<double>& y) const {
   IVMF_CHECK(x.size() == rows_);
   IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
   static ShardedKernelCounters counters("multiply_transpose");
   counters.Count(shards_.size(), rows_, nnz_);
-  const bool avx2 = csr_variant_ == spk::Backend::kAvx2;
   ReduceOverShards(
       cols_,
       [&](const SegRef& seg, double* p0, double* /*p1*/) {
-        const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
-        const double* xs = x.data() + seg.offset;
-        if (seg.sell != nullptr) {
-          seg.sell->MatVecT(e == Endpoint::kUpper, xs, p0, 0,
-                            seg.sell->chunks());
-        } else if (avx2) {
-          spk::MatVecTPackedAvx2(seg.view, v, xs, p0, seg.row_begin,
-                                 seg.row_end);
-        } else {
-          spk::MatVecTPackedScalar(seg.view, v, xs, p0, seg.row_begin,
-                                   seg.row_end);
-        }
+        ScatterSeg(seg, e, x.data(), p0);
       },
       &y, nullptr);
 }
@@ -761,6 +769,20 @@ void ShardedSparseIntervalMatrix::MultiplyTransposeMid(
       &y, nullptr);
 }
 
+void ShardedSparseIntervalMatrix::GramSeg(const SegRef& seg, Endpoint e,
+                                          const double* x, double* y) const {
+  const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
+  if (seg.sell != nullptr) {
+    seg.sell->GramMultiply(e == Endpoint::kUpper, x, y, 0,
+                           seg.sell->chunks());
+  } else if (csr_variant_ == spk::Backend::kAvx2) {
+    spk::GramFusedPackedAvx2(seg.view, v, x, y, seg.row_begin, seg.row_end);
+  } else {
+    spk::GramFusedPackedScalar(seg.view, v, x, y, seg.row_begin,
+                               seg.row_end);
+  }
+}
+
 void ShardedSparseIntervalMatrix::GramMultiply(Endpoint e,
                                                const std::vector<double>& x,
                                                std::vector<double>& y) const {
@@ -768,23 +790,122 @@ void ShardedSparseIntervalMatrix::GramMultiply(Endpoint e,
   IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
   static ShardedKernelCounters counters("gram_fused");
   counters.Count(shards_.size(), rows_, nnz_);
-  const bool avx2 = csr_variant_ == spk::Backend::kAvx2;
   ReduceOverShards(
       cols_,
       [&](const SegRef& seg, double* p0, double* /*p1*/) {
-        const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
-        if (seg.sell != nullptr) {
-          seg.sell->GramMultiply(e == Endpoint::kUpper, x.data(), p0, 0,
-                                 seg.sell->chunks());
-        } else if (avx2) {
-          spk::GramFusedPackedAvx2(seg.view, v, x.data(), p0, seg.row_begin,
-                                   seg.row_end);
-        } else {
-          spk::GramFusedPackedScalar(seg.view, v, x.data(), p0, seg.row_begin,
-                                     seg.row_end);
-        }
+        GramSeg(seg, e, x.data(), p0);
       },
       &y, nullptr);
+}
+
+// -- Endpoint pairs ------------------------------------------------------------
+//
+// On the AVX2 backend every shard runs the spk pair kernel on interleaved
+// (lo, hi) vectors, so one pass over the store (one fault-in and one
+// residency drop per mapped shard) serves both endpoints; a pair counts as
+// one call of the *_pair kernel. Otherwise each shard task runs the two
+// single-endpoint kernels, and the pair counts as two single calls.
+
+void ShardedSparseIntervalMatrix::MultiplyPair(
+    const std::vector<double>& x_lo, const std::vector<double>& x_hi,
+    std::vector<double>& y_lo, std::vector<double>& y_hi) const {
+  IVMF_CHECK(x_lo.size() == cols_ && x_hi.size() == cols_);
+  CheckPairAliasing(x_lo, x_hi, y_lo, y_hi);
+  y_lo.resize(rows_);
+  y_hi.resize(rows_);
+  if (resolved_ == spk::Backend::kAvx2) {
+    static ShardedKernelCounters counters("multiply_pair");
+    counters.Count(shards_.size(), rows_, nnz_);
+    std::vector<double> x2(2 * cols_), y2(2 * rows_);
+    spk::Interleave(x_lo.data(), x_hi.data(), cols_, x2.data());
+    ParallelFor(0, shards_.size(), [&](size_t s) {
+      const SegRef seg = Seg(s);
+      spk::MatVecPairPackedAvx2(seg.view, seg.lo, seg.hi, x2.data(),
+                                y2.data() + 2 * seg.offset, seg.row_begin,
+                                seg.row_end);
+      MaybeDropResidency(seg);
+    });
+    spk::Deinterleave(y2.data(), rows_, y_lo.data(), y_hi.data());
+    return;
+  }
+  static ShardedKernelCounters counters("multiply");
+  counters.Count(shards_.size(), rows_, nnz_);
+  counters.Count(shards_.size(), rows_, nnz_);
+  ParallelFor(0, shards_.size(), [&](size_t s) {
+    const SegRef seg = Seg(s);
+    MultiplySeg(seg, Endpoint::kLower, x_lo.data(), y_lo.data());
+    MultiplySeg(seg, Endpoint::kUpper, x_hi.data(), y_hi.data());
+    MaybeDropResidency(seg);
+  });
+}
+
+void ShardedSparseIntervalMatrix::MultiplyTransposePair(
+    const std::vector<double>& x_lo, const std::vector<double>& x_hi,
+    std::vector<double>& y_lo, std::vector<double>& y_hi) const {
+  IVMF_CHECK(x_lo.size() == rows_ && x_hi.size() == rows_);
+  CheckPairAliasing(x_lo, x_hi, y_lo, y_hi);
+  if (resolved_ == spk::Backend::kAvx2) {
+    static ShardedKernelCounters counters("multiply_transpose_pair");
+    counters.Count(shards_.size(), rows_, nnz_);
+    std::vector<double> x2(2 * rows_), y2;
+    spk::Interleave(x_lo.data(), x_hi.data(), rows_, x2.data());
+    ReduceOverShards(
+        2 * cols_,
+        [&](const SegRef& seg, double* p0, double* /*p1*/) {
+          spk::MatVecTPairPackedAvx2(seg.view, seg.lo, seg.hi,
+                                     x2.data() + 2 * seg.offset, p0,
+                                     seg.row_begin, seg.row_end);
+        },
+        &y2, nullptr);
+    y_lo.resize(cols_);
+    y_hi.resize(cols_);
+    spk::Deinterleave(y2.data(), cols_, y_lo.data(), y_hi.data());
+    return;
+  }
+  static ShardedKernelCounters counters("multiply_transpose");
+  counters.Count(shards_.size(), rows_, nnz_);
+  counters.Count(shards_.size(), rows_, nnz_);
+  ReduceOverShards(
+      cols_,
+      [&](const SegRef& seg, double* p0, double* p1) {
+        ScatterSeg(seg, Endpoint::kLower, x_lo.data(), p0);
+        ScatterSeg(seg, Endpoint::kUpper, x_hi.data(), p1);
+      },
+      &y_lo, &y_hi);
+}
+
+void ShardedSparseIntervalMatrix::GramMultiplyPair(
+    const std::vector<double>& x_lo, const std::vector<double>& x_hi,
+    std::vector<double>& y_lo, std::vector<double>& y_hi) const {
+  IVMF_CHECK(x_lo.size() == cols_ && x_hi.size() == cols_);
+  CheckPairAliasing(x_lo, x_hi, y_lo, y_hi);
+  if (resolved_ == spk::Backend::kAvx2) {
+    static ShardedKernelCounters counters("gram_fused_pair");
+    counters.Count(shards_.size(), rows_, nnz_);
+    std::vector<double> x2(2 * cols_), y2;
+    spk::Interleave(x_lo.data(), x_hi.data(), cols_, x2.data());
+    ReduceOverShards(
+        2 * cols_,
+        [&](const SegRef& seg, double* p0, double* /*p1*/) {
+          spk::GramFusedPairPackedAvx2(seg.view, seg.lo, seg.hi, x2.data(),
+                                       p0, seg.row_begin, seg.row_end);
+        },
+        &y2, nullptr);
+    y_lo.resize(cols_);
+    y_hi.resize(cols_);
+    spk::Deinterleave(y2.data(), cols_, y_lo.data(), y_hi.data());
+    return;
+  }
+  static ShardedKernelCounters counters("gram_fused");
+  counters.Count(shards_.size(), rows_, nnz_);
+  counters.Count(shards_.size(), rows_, nnz_);
+  ReduceOverShards(
+      cols_,
+      [&](const SegRef& seg, double* p0, double* p1) {
+        GramSeg(seg, Endpoint::kLower, x_lo.data(), p0);
+        GramSeg(seg, Endpoint::kUpper, x_hi.data(), p1);
+      },
+      &y_lo, &y_hi);
 }
 
 IntervalMatrix ShardedSparseIntervalMatrix::IntervalMultiplyDenseTranspose(

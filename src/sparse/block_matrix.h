@@ -160,6 +160,23 @@ class ShardedSparseIntervalMatrix {
   void GramMultiply(Endpoint e, const std::vector<double>& x,
                     std::vector<double>& y) const;
 
+  // Both endpoints in one pass over the store: (y_lo, y_hi) =
+  // (A_* x_lo, A^* x_hi), the scatters (A_*ᵀ x_lo, A^*ᵀ x_hi), and the
+  // fused Grams (A_*ᵀ (A_* x_lo), A^*ᵀ (A^* x_hi)). Same contract as the
+  // SparseIntervalMatrix methods of these names: the spk pair kernels on
+  // AVX2, the two single-endpoint kernels per shard task otherwise.
+  void MultiplyPair(const std::vector<double>& x_lo,
+                    const std::vector<double>& x_hi, std::vector<double>& y_lo,
+                    std::vector<double>& y_hi) const;
+  void MultiplyTransposePair(const std::vector<double>& x_lo,
+                             const std::vector<double>& x_hi,
+                             std::vector<double>& y_lo,
+                             std::vector<double>& y_hi) const;
+  void GramMultiplyPair(const std::vector<double>& x_lo,
+                        const std::vector<double>& x_hi,
+                        std::vector<double>& y_lo,
+                        std::vector<double>& y_hi) const;
+
   // C = A_e B for dense B (cols() x k), row-parallel over shards.
   Matrix MultiplyDense(Endpoint e, const Matrix& b) const;
 
@@ -217,6 +234,16 @@ class ShardedSparseIntervalMatrix {
   void ResolveBackend(spk::Backend request);
   void BuildSellSidecars();
   void MaybeDropResidency(const SegRef& seg) const;
+
+  // One shard's share of Multiply (writes its rows of y), MultiplyTranspose
+  // (accumulates into y) and GramMultiply (accumulates into y), on the
+  // shard's layout: SELL, packed AVX2 or packed scalar.
+  void MultiplySeg(const SegRef& seg, Endpoint e, const double* x,
+                   double* y) const;
+  void ScatterSeg(const SegRef& seg, Endpoint e, const double* x,
+                  double* y) const;
+  void GramSeg(const SegRef& seg, Endpoint e, const double* x,
+               double* y) const;
 
   // Shared scaffolding of the scatter-reduction kernels: partitions shards
   // into deterministic contiguous groups, hands each group zero-filled

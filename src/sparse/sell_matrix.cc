@@ -98,6 +98,20 @@ void SellPack::MatVec(bool upper, const double* x, double* y) const {
   });
 }
 
+void SellPack::MatVecPair(const double* x_lo, const double* x_hi,
+                          double* y_lo, double* y_hi) const {
+  const spk::SellView view = View();
+  ForChunkBlocks([&](size_t begin, size_t end) {
+    if (use_avx2_) {
+      spk::SellMatVecAvx2(view, lo_.data(), x_lo, y_lo, begin, end);
+      spk::SellMatVecAvx2(view, hi_.data(), x_hi, y_hi, begin, end);
+    } else {
+      spk::SellMatVecScalar(view, lo_.data(), x_lo, y_lo, begin, end);
+      spk::SellMatVecScalar(view, hi_.data(), x_hi, y_hi, begin, end);
+    }
+  });
+}
+
 void SellPack::MatVecMid(const double* x, double* y) const {
   const spk::SellView view = View();
   ForChunkBlocks([&](size_t begin, size_t end) {

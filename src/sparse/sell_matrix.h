@@ -70,6 +70,11 @@ class SellPack {
   // the endpoint array. Chunk-parallel; deterministic for a fixed machine.
   void MatVec(bool upper, const double* x, double* y) const;
 
+  // y_lo = A_* x_lo and y_hi = A^* x_hi: the two MatVec kernels over one
+  // chunk partition in one parallel region.
+  void MatVecPair(const double* x_lo, const double* x_hi, double* y_lo,
+                  double* y_hi) const;
+
   // y = ((A_* + A^*) / 2) x fused over the shared padded pattern.
   void MatVecMid(const double* x, double* y) const;
 

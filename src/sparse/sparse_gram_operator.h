@@ -26,8 +26,15 @@
 // Lanczos SVD, again O(nnz) per step, with the transposed action as a row
 // scatter.
 //
-// Both classes also keep a form taking `mt`, a precomputed m.Transpose().
-// It reads `mt` only when m resolves to the scalar backend, where it runs
+// ISVD1–ISVD4 solve the lower and upper endpoint problems together:
+// GramOperatorPair and EndpointMapPair expose both endpoints of one matrix
+// (either store) as the LinearOperatorPair / LinearMapPair the lock-step
+// Krylov solvers consume, so every Lanczos step is one pass over the
+// shared pattern for both endpoints (the *Pair kernels of
+// SparseIntervalMatrix and ShardedSparseIntervalMatrix).
+//
+// Both single-endpoint classes also keep a form taking `mt`, a precomputed
+// m.Transpose(). It reads `mt` only when m resolves to the scalar backend, where it runs
 // the literal two-pass composition (M_e x, then a forward product on `mt`)
 // — the reference route perfbench certifies against. On AVX2 and SELL it
 // behaves exactly like the transpose-free form and `mt` goes unread, yet
@@ -173,6 +180,78 @@ class SparseEndpointMap final : public LinearMap {
   const SparseIntervalMatrix& m_;
   const SparseIntervalMatrix* mt_;  // the reference form's transpose, or null
   Part part_;
+};
+
+// The endpoint Gram operators x -> M_*ᵀ (M_* x) (side 0) and
+// x -> M^*ᵀ (M^* x) (side 1) of one matrix as an operator pair, on either
+// store (SparseIntervalMatrix or ShardedSparseIntervalMatrix). Same
+// validity as SparseGramOperator (non-negative matrices). Holds `m` by
+// reference; it must outlive the pair.
+template <typename SparseMat>
+class GramOperatorPair final : public LinearOperatorPair {
+ public:
+  explicit GramOperatorPair(const SparseMat& m) : m_(m) {}
+
+  size_t Dim() const override { return m_.cols(); }
+
+  void Apply(size_t side, const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    m_.GramMultiply(side == 0 ? SparseIntervalMatrix::Endpoint::kLower
+                              : SparseIntervalMatrix::Endpoint::kUpper,
+                    x, y);
+  }
+
+  void ApplyPair(const std::vector<double>& x0, const std::vector<double>& x1,
+                 std::vector<double>& y0,
+                 std::vector<double>& y1) const override {
+    m_.GramMultiplyPair(x0, x1, y0, y1);
+  }
+
+ private:
+  const SparseMat& m_;
+};
+
+// The lower (side 0) and upper (side 1) endpoint matrices of one matrix as
+// a map pair for the lock-step Golub–Kahan SVD behind ISVD1, on either
+// store. No sign assumption. Holds `m` by reference.
+template <typename SparseMat>
+class EndpointMapPair final : public LinearMapPair {
+ public:
+  explicit EndpointMapPair(const SparseMat& m) : m_(m) {}
+
+  size_t Rows() const override { return m_.rows(); }
+  size_t Cols() const override { return m_.cols(); }
+
+  void Apply(size_t side, const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    m_.Multiply(Side(side), x, y);
+  }
+
+  void ApplyTranspose(size_t side, const std::vector<double>& x,
+                      std::vector<double>& y) const override {
+    m_.MultiplyTranspose(Side(side), x, y);
+  }
+
+  void ApplyPair(const std::vector<double>& x0, const std::vector<double>& x1,
+                 std::vector<double>& y0,
+                 std::vector<double>& y1) const override {
+    m_.MultiplyPair(x0, x1, y0, y1);
+  }
+
+  void ApplyTransposePair(const std::vector<double>& x0,
+                          const std::vector<double>& x1,
+                          std::vector<double>& y0,
+                          std::vector<double>& y1) const override {
+    m_.MultiplyTransposePair(x0, x1, y0, y1);
+  }
+
+ private:
+  static SparseIntervalMatrix::Endpoint Side(size_t side) {
+    return side == 0 ? SparseIntervalMatrix::Endpoint::kLower
+                     : SparseIntervalMatrix::Endpoint::kUpper;
+  }
+
+  const SparseMat& m_;
 };
 
 }  // namespace ivmf

@@ -80,15 +80,16 @@ void ForRowBlocks(size_t rows, size_t min_rows, Fn&& fn) {
 
 // Runs an accumulating scatter fn(out0, out1, begin, end) over items
 // [0, items) — CSR rows, or SELL chunks — into out0 (and out1, when
-// non-null), `len` doubles each. Each worker scatters its block of items
-// into private accumulators, then the accumulators reduce in fixed worker
-// order, in parallel over entries. A worker takes at least
-// `min_items_per_thread` items, and the workers' accumulators together
-// never take more memory than a transpose of the matrix would (nnz x 24
-// bytes: index and both endpoints), so a wide product runs on fewer
-// workers, down to one that scatters straight into the outputs. The
-// partitioning depends only on the shape and hardware concurrency, so
-// repeated calls are bit-identical.
+// non-null), `len` doubles each. Worker 0 scatters its block of items
+// straight into the zero-filled outputs, every other worker into private
+// accumulators, which then add into the outputs in fixed worker order, in
+// parallel over entries: out[j] = ((p0[j] + p1[j]) + p2[j]) + …, the
+// association of a reduction over all-private partials. A worker takes at
+// least `min_items_per_thread` items, and the private accumulators
+// together never take more memory than a transpose of the matrix would
+// (nnz x 24 bytes: index and both endpoints), so a wide product runs on
+// fewer workers, down to worker 0 alone. The partitioning depends only on
+// the shape and hardware concurrency, so repeated calls are bit-identical.
 constexpr size_t kMinRowsPerThread = 2048;
 
 template <typename ScatterFn>
@@ -104,38 +105,46 @@ void ScatterRows(size_t items, size_t min_items_per_thread, size_t nnz,
   if (threads > item_cap) threads = item_cap;
   if (len > 0) {
     const size_t memory_cap =
-        nnz * kTransposeBytesPerNnz / (outs * len * sizeof(double));
+        1 + nnz * kTransposeBytesPerNnz / (outs * len * sizeof(double));
     if (threads > memory_cap) threads = memory_cap;
   }
+  double* outputs[2] = {out0, out1};
   if (threads <= 1) {
-    std::fill(out0, out0 + len, 0.0);
-    if (out1 != nullptr) std::fill(out1, out1 + len, 0.0);
+    for (size_t o = 0; o < outs; ++o) {
+      std::fill(outputs[o], outputs[o] + len, 0.0);
+    }
     scatter(out0, out1, 0, items);
     return;
   }
 
-  std::vector<std::vector<double>> partials(threads * outs);
+  // partials[(t - 1) * outs + o] is worker t's accumulator for output o.
+  std::vector<std::vector<double>> partials((threads - 1) * outs);
   const size_t chunk = (items + threads - 1) / threads;
   ParallelFor(
       0, threads,
       [&](size_t t) {
-        double* parts[2] = {nullptr, nullptr};
+        double* parts[2] = {out0, out1};
         for (size_t o = 0; o < outs; ++o) {
-          partials[t * outs + o].assign(len, 0.0);
-          parts[o] = partials[t * outs + o].data();
+          if (t == 0) {
+            std::fill(outputs[o], outputs[o] + len, 0.0);
+          } else {
+            partials[(t - 1) * outs + o].assign(len, 0.0);
+            parts[o] = partials[(t - 1) * outs + o].data();
+          }
         }
         const size_t begin = t * chunk;
         const size_t end = std::min(items, begin + chunk);
         scatter(parts[0], parts[1], begin, end);
       },
       /*max_threads=*/threads);
-  double* outputs[2] = {out0, out1};
   ParallelFor(
       0, len,
       [&](size_t j) {
         for (size_t o = 0; o < outs; ++o) {
-          double sum = 0.0;
-          for (size_t t = 0; t < threads; ++t) sum += partials[t * outs + o][j];
+          double sum = outputs[o][j];
+          for (size_t t = 1; t < threads; ++t) {
+            sum += partials[(t - 1) * outs + o][j];
+          }
           outputs[o][j] = sum;
         }
       },
@@ -456,22 +465,19 @@ void SparseIntervalMatrix::MultiplyMid(const std::vector<double>& x,
 }
 
 template <typename SellFn, typename CsrFn>
-void SparseIntervalMatrix::ScatterToCols(spk::Backend backend, double* y,
-                                         SellFn&& sell_fn,
+void SparseIntervalMatrix::ScatterToCols(spk::Backend backend, double* y0,
+                                         double* y1, SellFn&& sell_fn,
                                          CsrFn&& csr_fn) const {
   if (backend == spk::Backend::kSell) {
     const SellPack& sell = EnsureSell();
     ScatterRows(sell.chunks(), kMinRowsPerThread / spk::kSellC, nnz(), cols_,
-                y, nullptr,
-                [&](double* out, double*, size_t begin, size_t end) {
-                  sell_fn(sell, out, begin, end);
+                y0, y1,
+                [&](double* out0, double* out1, size_t begin, size_t end) {
+                  sell_fn(sell, out0, out1, begin, end);
                 });
     return;
   }
-  ScatterRows(rows_, kMinRowsPerThread, nnz(), cols_, y, nullptr,
-              [&](double* out, double*, size_t begin, size_t end) {
-                csr_fn(out, begin, end);
-              });
+  ScatterRows(rows_, kMinRowsPerThread, nnz(), cols_, y0, y1, csr_fn);
 }
 
 void SparseIntervalMatrix::MultiplyTranspose(Endpoint e,
@@ -491,11 +497,10 @@ void SparseIntervalMatrix::MultiplyTranspose(Endpoint e,
   const spk::CsrView view = View();
   y.resize(cols_);
   ScatterToCols(
-      backend, y.data(),
-      [&](const SellPack& sell, double* out, size_t begin, size_t end) {
-        sell.MatVecT(upper, x.data(), out, begin, end);
-      },
-      [&](double* out, size_t begin, size_t end) {
+      backend, y.data(), nullptr,
+      [&](const SellPack& sell, double* out, double*, size_t begin,
+          size_t end) { sell.MatVecT(upper, x.data(), out, begin, end); },
+      [&](double* out, double*, size_t begin, size_t end) {
         if (avx2) {
           spk::MatVecTPackedAvx2(packed, v, x.data(), out, begin, end);
         } else {
@@ -517,11 +522,10 @@ void SparseIntervalMatrix::MultiplyTransposeMid(const std::vector<double>& x,
       backend == spk::Backend::kSell ? spk::PackedCsrView{} : PackedView();
   y.resize(cols_);
   ScatterToCols(
-      backend, y.data(),
-      [&](const SellPack& sell, double* out, size_t begin, size_t end) {
-        sell.MatVecTMid(x.data(), out, begin, end);
-      },
-      [&](double* out, size_t begin, size_t end) {
+      backend, y.data(), nullptr,
+      [&](const SellPack& sell, double* out, double*, size_t begin,
+          size_t end) { sell.MatVecTMid(x.data(), out, begin, end); },
+      [&](double* out, double*, size_t begin, size_t end) {
         spk::MatVecTMidPackedScalar(packed, lo_.data(), hi_.data(), x.data(),
                                     out, begin, end);
       });
@@ -546,16 +550,150 @@ void SparseIntervalMatrix::GramMultiply(Endpoint e,
   const spk::CsrView view = View();
   y.resize(cols_);
   ScatterToCols(
-      backend, y.data(),
-      [&](const SellPack& sell, double* out, size_t begin, size_t end) {
-        sell.GramMultiply(upper, x.data(), out, begin, end);
-      },
-      [&](double* out, size_t begin, size_t end) {
+      backend, y.data(), nullptr,
+      [&](const SellPack& sell, double* out, double*, size_t begin,
+          size_t end) { sell.GramMultiply(upper, x.data(), out, begin, end); },
+      [&](double* out, double*, size_t begin, size_t end) {
         if (avx2) {
           spk::GramFusedPackedAvx2(packed, v, x.data(), out, begin, end);
         } else {
           spk::GramFusedScalar(view, v, x.data(), out, begin, end);
         }
+      });
+}
+
+// -- Endpoint pairs ------------------------------------------------------------
+//
+// On the AVX2 backend a pair runs the spk pair kernel once over the packed
+// rows, on interleaved (lo, hi) vectors; it counts as one call of the
+// kernel's *_pair counters. The scalar and SELL backends run the two
+// single-endpoint kernels over one partition in one parallel region, and
+// count as two calls of the single kernel.
+
+void CheckPairAliasing(const std::vector<double>& x_lo,
+                       const std::vector<double>& x_hi,
+                       const std::vector<double>& y_lo,
+                       const std::vector<double>& y_hi) {
+  IVMF_CHECK_MSG(&y_lo != &x_lo && &y_lo != &x_hi && &y_hi != &x_lo &&
+                     &y_hi != &x_hi && &y_lo != &y_hi,
+                 "pair kernel outputs must not alias the inputs or each other");
+}
+
+void SparseIntervalMatrix::MultiplyPair(const std::vector<double>& x_lo,
+                                        const std::vector<double>& x_hi,
+                                        std::vector<double>& y_lo,
+                                        std::vector<double>& y_hi) const {
+  IVMF_CHECK(x_lo.size() == cols_ && x_hi.size() == cols_);
+  CheckPairAliasing(x_lo, x_hi, y_lo, y_hi);
+  const spk::Backend backend = spk::Resolve(ResolvedKernel());
+  y_lo.resize(rows_);
+  y_hi.resize(rows_);
+  if (backend == spk::Backend::kAvx2) {
+    static KernelCounters counters("multiply_pair", "avx2");
+    counters.Count(rows_, nnz());
+    const spk::PackedCsrView packed = PackedView();
+    std::vector<double> x2(2 * cols_), y2(2 * rows_);
+    spk::Interleave(x_lo.data(), x_hi.data(), cols_, x2.data());
+    ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
+      spk::MatVecPairPackedAvx2(packed, lo_.data(), hi_.data(), x2.data(),
+                                y2.data(), begin, end);
+    });
+    spk::Deinterleave(y2.data(), rows_, y_lo.data(), y_hi.data());
+    return;
+  }
+  static VariantCounters counters("multiply");
+  counters.For(backend).Count(rows_, nnz());
+  counters.For(backend).Count(rows_, nnz());
+  if (backend == spk::Backend::kSell) {
+    EnsureSell().MatVecPair(x_lo.data(), x_hi.data(), y_lo.data(),
+                            y_hi.data());
+    return;
+  }
+  const spk::CsrView view = View();
+  ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
+    spk::MatVecScalar(view, lo_.data(), x_lo.data(), y_lo.data(), begin, end);
+    spk::MatVecScalar(view, hi_.data(), x_hi.data(), y_hi.data(), begin, end);
+  });
+}
+
+void SparseIntervalMatrix::MultiplyTransposePair(
+    const std::vector<double>& x_lo, const std::vector<double>& x_hi,
+    std::vector<double>& y_lo, std::vector<double>& y_hi) const {
+  IVMF_CHECK(x_lo.size() == rows_ && x_hi.size() == rows_);
+  CheckPairAliasing(x_lo, x_hi, y_lo, y_hi);
+  const spk::Backend backend = spk::Resolve(ResolvedKernel());
+  y_lo.resize(cols_);
+  y_hi.resize(cols_);
+  if (backend == spk::Backend::kAvx2) {
+    static KernelCounters counters("multiply_transpose_pair", "avx2");
+    counters.Count(rows_, nnz());
+    const spk::PackedCsrView packed = PackedView();
+    std::vector<double> x2(2 * rows_), y2(2 * cols_);
+    spk::Interleave(x_lo.data(), x_hi.data(), rows_, x2.data());
+    ScatterRows(rows_, kMinRowsPerThread, nnz(), 2 * cols_, y2.data(),
+                nullptr, [&](double* out, double*, size_t begin, size_t end) {
+                  spk::MatVecTPairPackedAvx2(packed, lo_.data(), hi_.data(),
+                                             x2.data(), out, begin, end);
+                });
+    spk::Deinterleave(y2.data(), cols_, y_lo.data(), y_hi.data());
+    return;
+  }
+  static VariantCounters counters("multiply_transpose");
+  counters.For(backend).Count(rows_, nnz());
+  counters.For(backend).Count(rows_, nnz());
+  const spk::CsrView view = View();
+  ScatterToCols(
+      backend, y_lo.data(), y_hi.data(),
+      [&](const SellPack& sell, double* out_lo, double* out_hi, size_t begin,
+          size_t end) {
+        sell.MatVecT(false, x_lo.data(), out_lo, begin, end);
+        sell.MatVecT(true, x_hi.data(), out_hi, begin, end);
+      },
+      [&](double* out_lo, double* out_hi, size_t begin, size_t end) {
+        spk::MatVecTScalar(view, lo_.data(), x_lo.data(), out_lo, begin, end);
+        spk::MatVecTScalar(view, hi_.data(), x_hi.data(), out_hi, begin, end);
+      });
+}
+
+void SparseIntervalMatrix::GramMultiplyPair(const std::vector<double>& x_lo,
+                                            const std::vector<double>& x_hi,
+                                            std::vector<double>& y_lo,
+                                            std::vector<double>& y_hi) const {
+  IVMF_CHECK(x_lo.size() == cols_ && x_hi.size() == cols_);
+  CheckPairAliasing(x_lo, x_hi, y_lo, y_hi);
+  const spk::Backend backend = spk::Resolve(ResolvedKernel());
+  y_lo.resize(cols_);
+  y_hi.resize(cols_);
+  if (backend == spk::Backend::kAvx2) {
+    static KernelCounters counters("gram_fused_pair", "avx2");
+    counters.Count(rows_, nnz());
+    const spk::PackedCsrView packed = PackedView();
+    std::vector<double> x2(2 * cols_), y2(2 * cols_);
+    spk::Interleave(x_lo.data(), x_hi.data(), cols_, x2.data());
+    ScatterRows(rows_, kMinRowsPerThread, nnz(), 2 * cols_, y2.data(),
+                nullptr, [&](double* out, double*, size_t begin, size_t end) {
+                  spk::GramFusedPairPackedAvx2(packed, lo_.data(), hi_.data(),
+                                               x2.data(), out, begin, end);
+                });
+    spk::Deinterleave(y2.data(), cols_, y_lo.data(), y_hi.data());
+    return;
+  }
+  static VariantCounters counters("gram_fused");
+  counters.For(backend).Count(rows_, nnz());
+  counters.For(backend).Count(rows_, nnz());
+  const spk::CsrView view = View();
+  ScatterToCols(
+      backend, y_lo.data(), y_hi.data(),
+      [&](const SellPack& sell, double* out_lo, double* out_hi, size_t begin,
+          size_t end) {
+        sell.GramMultiply(false, x_lo.data(), out_lo, begin, end);
+        sell.GramMultiply(true, x_hi.data(), out_hi, begin, end);
+      },
+      [&](double* out_lo, double* out_hi, size_t begin, size_t end) {
+        spk::GramFusedScalar(view, lo_.data(), x_lo.data(), out_lo, begin,
+                             end);
+        spk::GramFusedScalar(view, hi_.data(), x_hi.data(), out_hi, begin,
+                             end);
       });
 }
 

@@ -235,6 +235,28 @@ class SparseIntervalMatrix {
   void GramMultiply(Endpoint e, const std::vector<double>& x,
                     std::vector<double>& y) const;
 
+  // -- Endpoint pairs: both endpoints' kernels in one pass ------------------
+  // (y_lo, y_hi) = (A_* x_lo, A^* x_hi), then the row scatters
+  // (A_*ᵀ x_lo, A^*ᵀ x_hi), then the fused Grams
+  // (A_*ᵀ (A_* x_lo), A^*ᵀ (A^* x_hi)) — what the lock-step Krylov solvers
+  // apply per step. On AVX2 one spk pair kernel streams the packed pattern
+  // once for both sides; the scalar and SELL backends run the two
+  // single-endpoint kernels over one partition in one parallel region, with
+  // the same results as two single calls. Each side agrees with its
+  // single-endpoint method to roundoff and is bit-stable across calls. The
+  // four vectors must be distinct (checked by CheckPairAliasing).
+  void MultiplyPair(const std::vector<double>& x_lo,
+                    const std::vector<double>& x_hi, std::vector<double>& y_lo,
+                    std::vector<double>& y_hi) const;
+  void MultiplyTransposePair(const std::vector<double>& x_lo,
+                             const std::vector<double>& x_hi,
+                             std::vector<double>& y_lo,
+                             std::vector<double>& y_hi) const;
+  void GramMultiplyPair(const std::vector<double>& x_lo,
+                        const std::vector<double>& x_hi,
+                        std::vector<double>& y_lo,
+                        std::vector<double>& y_hi) const;
+
   // Euclidean norms of the rows / columns of the endpoint matrix A_e.
   std::vector<double> RowNorms(Endpoint e) const;
   std::vector<double> ColNorms(Endpoint e) const;
@@ -285,11 +307,12 @@ class SparseIntervalMatrix {
   const SellPack& EnsureSell() const;
 
   // Runs a cols()-sized reduction kernel on `backend`: over SELL chunks
-  // through sell_fn(pack, out, chunk_begin, chunk_end), else over CSR rows
-  // through csr_fn(out, row_begin, row_end). Writes y (cols() entries).
+  // through sell_fn(pack, out0, out1, chunk_begin, chunk_end), else over
+  // CSR rows through csr_fn(out0, out1, row_begin, row_end). Writes y0 and,
+  // when non-null, y1 (cols() entries each; out1 is null without y1).
   template <typename SellFn, typename CsrFn>
-  void ScatterToCols(spk::Backend backend, double* y, SellFn&& sell_fn,
-                     CsrFn&& csr_fn) const;
+  void ScatterToCols(spk::Backend backend, double* y0, double* y1,
+                     SellFn&& sell_fn, CsrFn&& csr_fn) const;
 
   // The packed view over this matrix's arrays (builds the sidecar on first
   // use).
@@ -306,6 +329,14 @@ class SparseIntervalMatrix {
   mutable std::shared_ptr<PackedSlot> packed_ = std::make_shared<PackedSlot>();
   mutable std::shared_ptr<AutoSlot> auto_ = std::make_shared<AutoSlot>();
 };
+
+// The aliasing contract of the endpoint-pair methods of both stores
+// (SparseIntervalMatrix and ShardedSparseIntervalMatrix): no output may
+// alias an input or the other output. Check-fails otherwise.
+void CheckPairAliasing(const std::vector<double>& x_lo,
+                       const std::vector<double>& x_hi,
+                       const std::vector<double>& y_lo,
+                       const std::vector<double>& y_hi);
 
 }  // namespace ivmf
 

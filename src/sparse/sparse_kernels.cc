@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/check.h"
 #include "obs/log.h"
 
 namespace ivmf::spk {
@@ -610,6 +611,24 @@ void MatDenseTBothPackedAvx2(const PackedCsrView& a, const double* lo,
                              size_t row_end) {
   MatDenseTBothPackedScalar(a, lo, hi, b, bcols, c_lo, c_hi, row_begin,
                             row_end);
+}
+
+// The pair kernels have no scalar form (see sparse_kernels.h): Resolve()
+// never picks AVX2 here, so the pair routes run two single kernels.
+void GramFusedPairPackedAvx2(const PackedCsrView&, const double*,
+                             const double*, const double*, double*, size_t,
+                             size_t) {
+  IVMF_CHECK_MSG(false, "endpoint-pair kernels need the AVX2 build");
+}
+
+void MatVecPairPackedAvx2(const PackedCsrView&, const double*, const double*,
+                          const double*, double*, size_t, size_t) {
+  IVMF_CHECK_MSG(false, "endpoint-pair kernels need the AVX2 build");
+}
+
+void MatVecTPairPackedAvx2(const PackedCsrView&, const double*, const double*,
+                           const double*, double*, size_t, size_t) {
+  IVMF_CHECK_MSG(false, "endpoint-pair kernels need the AVX2 build");
 }
 
 #endif  // !IVMF_HAVE_AVX2

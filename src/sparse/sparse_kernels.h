@@ -16,7 +16,9 @@
 //            prefetch — the matvec is memory-bound, so halving index bytes
 //            is worth more than any amount of ILP. The transpose scatter
 //            reads the same sidecar (the stores stay scalar: no scatter
-//            instruction).
+//            instruction). The endpoint-pair kernels serve both endpoints
+//            in one pass over that sidecar, on interleaved (lo, hi)
+//            vectors, with 128-bit pair loads and read-modify-writes.
 //            Compiled in a dedicated -mavx2 translation unit and reached
 //            only after a runtime cpuid check, so the same binary runs on
 //            machines without AVX2
@@ -278,6 +280,55 @@ void GramFusedScalar(const CsrView& a, const double* v, const double* x,
 void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end);
+
+// -- Endpoint-pair kernels (AVX2 only) ---------------------------------------
+//
+// Both endpoints in one pass over the packed pattern, for the lock-step
+// Krylov solvers that advance the lower and upper sequences together. The
+// dense vectors are interleaved pairs: x2[2j] is entry j of the lower
+// side's vector and x2[2j + 1] entry j of the upper side's; y2 likewise.
+// Per nonzero the kernels make one 128-bit load of the (x_lo, x_hi) pair,
+// one FMA against (lo[k], hi[k]) and, in the scatters, one 128-bit
+// read-modify-write of the (y_lo, y_hi) pair — where two single-endpoint
+// applies make two 4-lane gathers and two scalar read-modify-writes. Each
+// side sums the same terms as its single-endpoint kernel, in a different
+// blocked order, and each variant is bit-stable across calls.
+//
+// There is no scalar pair kernel: the scalar and SELL backends (and builds
+// without AVX2) run a pair apply as the two single-endpoint kernels, so
+// these are reached only on the resolved AVX2 backend. Without AVX2 in the
+// build they are check-failing stubs.
+//
+// y2 += (A_*ᵀ (A_* x_lo), A^*ᵀ (A^* x_hi)): the fused Gram pair
+// (accumulates; caller zero-fills or reduces partials; y2 has 2 * a.cols).
+void GramFusedPairPackedAvx2(const PackedCsrView& a, const double* lo,
+                             const double* hi, const double* x2, double* y2,
+                             size_t row_begin, size_t row_end);
+// y2[2i], y2[2i + 1] = (A_* x_lo)_i, (A^* x_hi)_i: the forward pair
+// (writes rows [row_begin, row_end); y2 has 2 * a.rows).
+void MatVecPairPackedAvx2(const PackedCsrView& a, const double* lo,
+                          const double* hi, const double* x2, double* y2,
+                          size_t row_begin, size_t row_end);
+// y2 += (A_*ᵀ x_lo, A^*ᵀ x_hi): the row-scatter pair (x2 has 2 * a.rows
+// entries, y2 has 2 * a.cols; accumulates).
+void MatVecTPairPackedAvx2(const PackedCsrView& a, const double* lo,
+                           const double* hi, const double* x2, double* y2,
+                           size_t row_begin, size_t row_end);
+
+// out2 = the n pairs (a[j], b[j]), and back.
+inline void Interleave(const double* a, const double* b, size_t n,
+                       double* out2) {
+  for (size_t j = 0; j < n; ++j) {
+    out2[2 * j] = a[j];
+    out2[2 * j + 1] = b[j];
+  }
+}
+inline void Deinterleave(const double* in2, size_t n, double* a, double* b) {
+  for (size_t j = 0; j < n; ++j) {
+    a[j] = in2[2 * j];
+    b[j] = in2[2 * j + 1];
+  }
+}
 
 // -- SELL-C-4 chunk kernels --------------------------------------------------
 //

@@ -468,6 +468,190 @@ void MatDenseTBothPackedAvx2(const PackedCsrView& a, const double* lo,
   }
 }
 
+// -- Endpoint-pair kernels ---------------------------------------------------
+//
+// Four nonzeros k..k+3 load as two 256-bit vectors of (lo, hi) pairs:
+// unpacklo of the lo and hi quads holds entries k and k + 2, unpackhi
+// entries k + 1 and k + 3. Each meets a vector of two (x_lo, x_hi) pairs
+// made of two 128-bit loads from the interleaved x2, so one FMA advances
+// both endpoints of two nonzeros. The row's dot ends as one 128-bit
+// (s_lo, s_hi); the scatters multiply the same pair vectors by it and add
+// each 128-bit half into its interleaved (y_lo, y_hi) slot. Columns are
+// unique within a row, so those read-modify-writes never collide.
+
+namespace {
+
+struct PairQuad {
+  __m256d even;  // (lo, hi) of entries k and k + 2
+  __m256d odd;   // (lo, hi) of entries k + 1 and k + 3
+};
+
+inline PairQuad LoadPairQuad(const double* lo, const double* hi, size_t k) {
+  const __m256d l = _mm256_loadu_pd(lo + k);
+  const __m256d h = _mm256_loadu_pd(hi + k);
+  return {_mm256_unpacklo_pd(l, h), _mm256_unpackhi_pd(l, h)};
+}
+
+// The (x_lo, x_hi) pairs of columns c0 (low half) and c1 (high half).
+inline __m256d LoadXPairs(const double* x2, size_t c0, size_t c1) {
+  return _mm256_insertf128_pd(
+      _mm256_castpd128_pd256(_mm_loadu_pd(x2 + 2 * c0)),
+      _mm_loadu_pd(x2 + 2 * c1), 1);
+}
+
+inline __m128d PairAt(const double* lo, const double* hi, size_t k) {
+  return _mm_set_pd(hi[k], lo[k]);
+}
+
+inline void AddPair(double* y2, size_t c, __m128d p) {
+  _mm_storeu_pd(y2 + 2 * c, _mm_add_pd(_mm_loadu_pd(y2 + 2 * c), p));
+}
+
+// (s_lo, s_hi) = the dots of the lo and hi rows over [begin, end) against
+// the interleaved x2.
+template <typename IdxT>
+inline __m128d PairDot(const IdxT* idx, const double* lo, const double* hi,
+                       const double* x2, size_t begin, size_t end) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  size_t k = begin;
+  for (; k + 8 <= end; k += 8) {
+    __builtin_prefetch(lo + k + kValAhead);
+    __builtin_prefetch(hi + k + kValAhead);
+    __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
+    const PairQuad p0 = LoadPairQuad(lo, hi, k);
+    const PairQuad p1 = LoadPairQuad(lo, hi, k + 4);
+    acc0 = _mm256_fmadd_pd(p0.even, LoadXPairs(x2, idx[k], idx[k + 2]), acc0);
+    acc1 = _mm256_fmadd_pd(p0.odd, LoadXPairs(x2, idx[k + 1], idx[k + 3]),
+                           acc1);
+    acc2 = _mm256_fmadd_pd(p1.even, LoadXPairs(x2, idx[k + 4], idx[k + 6]),
+                           acc2);
+    acc3 = _mm256_fmadd_pd(p1.odd, LoadXPairs(x2, idx[k + 5], idx[k + 7]),
+                           acc3);
+  }
+  if (k + 4 <= end) {
+    const PairQuad p = LoadPairQuad(lo, hi, k);
+    acc0 = _mm256_fmadd_pd(p.even, LoadXPairs(x2, idx[k], idx[k + 2]), acc0);
+    acc1 = _mm256_fmadd_pd(p.odd, LoadXPairs(x2, idx[k + 1], idx[k + 3]),
+                           acc1);
+    k += 4;
+  }
+  const __m256d acc =
+      _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
+  __m128d s = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                         _mm256_extractf128_pd(acc, 1));
+  for (; k < end; ++k) {
+    s = _mm_fmadd_pd(PairAt(lo, hi, k), _mm_loadu_pd(x2 + 2 * idx[k]), s);
+  }
+  return s;
+}
+
+// y2 pairs at the row's columns += (lo[k] * s_lo, hi[k] * s_hi) over
+// [begin, end). `kPrefetch` for rows that are not already cache-hot: one
+// prefetch per cache line of each value stream, 8 entries per trip.
+template <bool kPrefetch, typename IdxT>
+inline void PairScatter(const IdxT* idx, const double* lo, const double* hi,
+                        __m128d s, double* y2, size_t begin, size_t end) {
+  const __m256d s2 = _mm256_insertf128_pd(_mm256_castpd128_pd256(s), s, 1);
+  const auto scatter4 = [&](size_t k) {
+    const PairQuad p = LoadPairQuad(lo, hi, k);
+    const __m256d even = _mm256_mul_pd(p.even, s2);
+    const __m256d odd = _mm256_mul_pd(p.odd, s2);
+    AddPair(y2, idx[k], _mm256_castpd256_pd128(even));
+    AddPair(y2, idx[k + 1], _mm256_castpd256_pd128(odd));
+    AddPair(y2, idx[k + 2], _mm256_extractf128_pd(even, 1));
+    AddPair(y2, idx[k + 3], _mm256_extractf128_pd(odd, 1));
+  };
+  size_t k = begin;
+  for (; k + 8 <= end; k += 8) {
+    if (kPrefetch) {
+      __builtin_prefetch(lo + k + kValAhead);
+      __builtin_prefetch(hi + k + kValAhead);
+      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
+    }
+    scatter4(k);
+    scatter4(k + 4);
+  }
+  if (k + 4 <= end) {
+    scatter4(k);
+    k += 4;
+  }
+  for (; k < end; ++k) AddPair(y2, idx[k], _mm_mul_pd(PairAt(lo, hi, k), s));
+}
+
+inline bool BothZero(__m128d s) {
+  return _mm_movemask_pd(_mm_cmpeq_pd(s, _mm_setzero_pd())) == 0x3;
+}
+
+template <typename IdxT>
+void GramFusedPairImpl(const PackedCsrView& a, const IdxT* idx,
+                       const double* lo, const double* hi, const double* x2,
+                       double* y2, size_t row_begin, size_t row_end) {
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const size_t begin = a.row_ptr[i];
+    const size_t end = a.row_ptr[i + 1];
+    const __m128d s = PairDot(idx, lo, hi, x2, begin, end);
+    // Empty rows (and exact cancellations on both sides) scatter 0.
+    if (BothZero(s)) continue;
+    PairScatter<false>(idx, lo, hi, s, y2, begin, end);
+  }
+}
+
+template <typename IdxT>
+void MatVecPairImpl(const PackedCsrView& a, const IdxT* idx, const double* lo,
+                    const double* hi, const double* x2, double* y2,
+                    size_t row_begin, size_t row_end) {
+  for (size_t i = row_begin; i < row_end; ++i) {
+    _mm_storeu_pd(y2 + 2 * i, PairDot(idx, lo, hi, x2, a.row_ptr[i],
+                                      a.row_ptr[i + 1]));
+  }
+}
+
+template <typename IdxT>
+void MatVecTPairImpl(const PackedCsrView& a, const IdxT* idx,
+                     const double* lo, const double* hi, const double* x2,
+                     double* y2, size_t row_begin, size_t row_end) {
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const __m128d xi = _mm_loadu_pd(x2 + 2 * i);
+    if (BothZero(xi)) continue;
+    PairScatter<true>(idx, lo, hi, xi, y2, a.row_ptr[i], a.row_ptr[i + 1]);
+  }
+}
+
+}  // namespace
+
+void GramFusedPairPackedAvx2(const PackedCsrView& a, const double* lo,
+                             const double* hi, const double* x2, double* y2,
+                             size_t row_begin, size_t row_end) {
+  if (a.col16 != nullptr) {
+    GramFusedPairImpl(a, a.col16, lo, hi, x2, y2, row_begin, row_end);
+  } else {
+    GramFusedPairImpl(a, a.col32, lo, hi, x2, y2, row_begin, row_end);
+  }
+}
+
+void MatVecPairPackedAvx2(const PackedCsrView& a, const double* lo,
+                          const double* hi, const double* x2, double* y2,
+                          size_t row_begin, size_t row_end) {
+  if (a.col16 != nullptr) {
+    MatVecPairImpl(a, a.col16, lo, hi, x2, y2, row_begin, row_end);
+  } else {
+    MatVecPairImpl(a, a.col32, lo, hi, x2, y2, row_begin, row_end);
+  }
+}
+
+void MatVecTPairPackedAvx2(const PackedCsrView& a, const double* lo,
+                           const double* hi, const double* x2, double* y2,
+                           size_t row_begin, size_t row_end) {
+  if (a.col16 != nullptr) {
+    MatVecTPairImpl(a, a.col16, lo, hi, x2, y2, row_begin, row_end);
+  } else {
+    MatVecTPairImpl(a, a.col32, lo, hi, x2, y2, row_begin, row_end);
+  }
+}
+
 // -- SELL-C-4 chunk kernels --------------------------------------------------
 //
 // One __m256d accumulator carries the four lane sums of a chunk; each slice

@@ -6,8 +6,10 @@
 
 #include "linalg/lanczos_svd.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -478,6 +480,207 @@ TEST(LanczosSvdTest, WarmStartFromRightBasisConvergesNoSlower) {
   for (size_t j = 0; j < 3; ++j) {
     EXPECT_NEAR(rewarm.sigma[j], recold.sigma[j],
                 1e-8 * (recold.sigma[0] + 1.0));
+  }
+}
+
+// -- The lock-step pair driver -----------------------------------------------
+
+// Two dense maps as a pair, counting each side's applies (a paired apply
+// counts for both sides) and the paired calls.
+class DenseMapPair final : public LinearMapPair {
+ public:
+  DenseMapPair(const Matrix& a0, const Matrix& a1) : maps_{DenseLinearMap(a0), DenseLinearMap(a1)} {}
+
+  size_t Rows() const override { return maps_[0].Rows(); }
+  size_t Cols() const override { return maps_[0].Cols(); }
+
+  void Apply(size_t side, const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    ++applies[side];
+    maps_[side].Apply(x, y);
+  }
+  void ApplyTranspose(size_t side, const std::vector<double>& x,
+                      std::vector<double>& y) const override {
+    ++applies[side];
+    maps_[side].ApplyTranspose(x, y);
+  }
+  void ApplyPair(const std::vector<double>& x0, const std::vector<double>& x1,
+                 std::vector<double>& y0,
+                 std::vector<double>& y1) const override {
+    ++pair_calls;
+    Apply(0, x0, y0);
+    Apply(1, x1, y1);
+  }
+  void ApplyTransposePair(const std::vector<double>& x0,
+                          const std::vector<double>& x1,
+                          std::vector<double>& y0,
+                          std::vector<double>& y1) const override {
+    ++pair_calls;
+    ApplyTranspose(0, x0, y0);
+    ApplyTranspose(1, x1, y1);
+  }
+
+  mutable size_t pair_calls = 0;
+  mutable size_t applies[2] = {0, 0};
+
+ private:
+  DenseLinearMap maps_[2];
+};
+
+// A map that counts its applies, for the single-solve side of a comparison.
+class CountingMap final : public LinearMap {
+ public:
+  explicit CountingMap(const Matrix& a) : map_(a) {}
+  size_t Rows() const override { return map_.Rows(); }
+  size_t Cols() const override { return map_.Cols(); }
+  void Apply(const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    ++applies;
+    map_.Apply(x, y);
+  }
+  void ApplyTranspose(const std::vector<double>& x,
+                      std::vector<double>& y) const override {
+    ++applies;
+    map_.ApplyTranspose(x, y);
+  }
+  mutable size_t applies = 0;
+
+ private:
+  DenseLinearMap map_;
+};
+
+// A pair solve must return what two single solves with the same options
+// return: same iteration counts, apply counts and flags, singular values
+// within 1e-10, and (the dense pair applies each side exactly as a single
+// apply) the same vectors. Returns the number of paired calls.
+size_t ExpectSvdPairMatchesSingles(const Matrix& a0, const Matrix& a1,
+                                   size_t rank, const LanczosOptions& o0,
+                                   const LanczosOptions& o1) {
+  const DenseMapPair pair(a0, a1);
+  const std::array<SvdResult, 2> got =
+      ComputeLanczosSvdPair(pair, rank, o0, o1);
+  const CountingMap single[2] = {CountingMap(a0), CountingMap(a1)};
+  const SvdResult want[2] = {ComputeLanczosSvd(single[0], rank, o0),
+                             ComputeLanczosSvd(single[1], rank, o1)};
+  for (size_t side = 0; side < 2; ++side) {
+    SCOPED_TRACE(side);
+    EXPECT_EQ(got[side].iterations, want[side].iterations);
+    EXPECT_EQ(got[side].truncated, want[side].truncated);
+    EXPECT_EQ(pair.applies[side], single[side].applies);
+    EXPECT_EQ(got[side].sigma.size(), want[side].sigma.size());
+    for (size_t j = 0; j < want[side].sigma.size(); ++j) {
+      EXPECT_NEAR(got[side].sigma[j], want[side].sigma[j],
+                  1e-10 * (want[side].sigma[0] + 1.0));
+    }
+    EXPECT_LT(MaxAbsDiff(got[side].u, want[side].u), 1e-10);
+    EXPECT_LT(MaxAbsDiff(got[side].v, want[side].v), 1e-10);
+  }
+  return pair.pair_calls;
+}
+
+// Lower and upper endpoints of a random non-negative interval matrix.
+std::pair<Matrix, Matrix> Endpoints(size_t rows, size_t cols, Rng& rng) {
+  const Matrix lo = RandomMatrix(rows, cols, rng, 0.0, 1.0);
+  Matrix hi = lo;
+  for (size_t i = 0; i < rows; ++i)
+    for (size_t j = 0; j < cols; ++j) hi(i, j) += rng.Uniform(0.0, 0.5);
+  return {lo, hi};
+}
+
+TEST(LanczosSvdPairTest, MatchesTwoSingleSolvesBothOrientations) {
+  Rng rng(601);
+  for (const auto& [rows, cols] : {std::pair<size_t, size_t>{30, 18},
+                                   std::pair<size_t, size_t>{18, 30}}) {
+    const auto [lo, hi] = Endpoints(rows, cols, rng);
+    LanczosOptions o0, o1;
+    o1.seed = o0.seed + 1;
+    // Both sides run the whole solve in step: every apply is paired.
+    const size_t paired = ExpectSvdPairMatchesSingles(lo, hi, 4, o0, o1);
+    const SvdResult alone = ComputeLanczosSvd(lo, 4, o0);
+    EXPECT_EQ(paired, 2 * alone.iterations);
+  }
+}
+
+TEST(LanczosSvdPairTest, OneSideExitsEarlyOnItsWarmBasis) {
+  // Side 0 starts warm (no start apply) and meets its early exit first;
+  // side 1 starts cold, so the first round runs its transpose alone.
+  Rng rng(602);
+  const auto [lo, hi] = Endpoints(50, 30, rng);
+  LanczosOptions cold;
+  cold.convergence_tol = 1e-10;
+  LanczosOptions warm = cold;
+  warm.start_basis = ComputeLanczosSvd(lo, 3, cold).v;
+  ASSERT_LT(ComputeLanczosSvd(lo, 3, warm).iterations,
+            ComputeLanczosSvd(hi, 3, cold).iterations);
+  EXPECT_GT(ExpectSvdPairMatchesSingles(lo, hi, 3, warm, cold), 0u);
+  EXPECT_GT(ExpectSvdPairMatchesSingles(hi, lo, 3, cold, warm), 0u);
+}
+
+TEST(LanczosSvdPairTest, ExhaustedSideAloneIsTruncated) {
+  // A rank-2 lower endpoint with an unsatisfiable restart tolerance stops
+  // at its breakdown and reports `truncated`; the full-rank upper side runs
+  // on to its cap and is not truncated.
+  Rng rng(603);
+  const Matrix lo =
+      RandomMatrix(14, 2, rng) * RandomMatrix(9, 2, rng).Transpose();
+  const Matrix hi = RandomMatrix(14, 9, rng);
+  LanczosOptions strict;
+  strict.restart_tolerance = 1e9;
+  ExpectSvdPairMatchesSingles(lo, hi, 5, strict, {});
+  const std::array<SvdResult, 2> got =
+      ComputeLanczosSvdPair(DenseMapPair(lo, hi), 5, strict, {});
+  EXPECT_TRUE(got[0].truncated);
+  EXPECT_LT(got[0].sigma.size(), 5u);
+  EXPECT_FALSE(got[1].truncated);
+  EXPECT_EQ(got[1].sigma.size(), 5u);
+}
+
+TEST(LanczosSvdPairTest, ZeroLowerEndpointRestartsOnItsOwnSide) {
+  // A zero lower endpoint restarts every step and still delivers the full
+  // count of (zero) triplets beside the upper side's recurrence.
+  Rng rng(604);
+  const Matrix zero(16, 11);
+  const Matrix hi = RandomMatrix(16, 11, rng, 0.0, 1.0);
+  ExpectSvdPairMatchesSingles(zero, hi, 3, {}, {});
+  const std::array<SvdResult, 2> got =
+      ComputeLanczosSvdPair(DenseMapPair(zero, hi), 3, {}, {});
+  EXPECT_FALSE(got[0].truncated);
+  ASSERT_EQ(got[0].sigma.size(), 3u);
+  for (const double s : got[0].sigma) EXPECT_NEAR(s, 0.0, 1e-12);
+}
+
+TEST(LanczosSvdPairTest, SparseEndpointMapPairMatchesSingleMaps) {
+  // The sparse pair map on every backend (the AVX2 pair kernels, or two
+  // single kernels per apply) against two single-endpoint solves.
+  RatingsConfig config;
+  config.num_users = 300;
+  config.num_items = 120;
+  config.fill = 0.1;
+  config.seed = 605;
+  const SparseIntervalMatrix base =
+      SparseCfIntervalMatrix(GenerateSparseRatings(config), 0.3);
+  LanczosOptions o0, o1;
+  o1.seed = o0.seed + 1;
+  for (spk::Backend backend :
+       {spk::Backend::kScalar, spk::Backend::kAvx2, spk::Backend::kSell}) {
+    SCOPED_TRACE(spk::BackendName(backend));
+    SparseIntervalMatrix m = base;
+    m.set_kernel(backend);
+    const std::array<SvdResult, 2> got =
+        ComputeLanczosSvdPair(EndpointMapPair(m), 6, o0, o1);
+    const SvdResult want[2] = {
+        ComputeLanczosSvd(SparseEndpointMap(m, SparseEndpointMap::Part::kLower),
+                          6, o0),
+        ComputeLanczosSvd(SparseEndpointMap(m, SparseEndpointMap::Part::kUpper),
+                          6, o1)};
+    for (size_t side = 0; side < 2; ++side) {
+      EXPECT_EQ(got[side].iterations, want[side].iterations);
+      ASSERT_EQ(got[side].sigma.size(), want[side].sigma.size());
+      for (size_t j = 0; j < want[side].sigma.size(); ++j) {
+        EXPECT_NEAR(got[side].sigma[j], want[side].sigma[j],
+                    1e-10 * want[side].sigma[0]);
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include "linalg/lanczos.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 namespace ivmf {
 namespace {
 
+using ::ivmf::testing::MaxAbsDiff;
 using ::ivmf::testing::OrthonormalityError;
 using ::ivmf::testing::RandomMatrix;
 using ::ivmf::testing::RandomSymmetric;
@@ -454,6 +456,141 @@ TEST(LanczosTest, OrthogonalizationTimeRecordedOncePerSolveWhenEnabled) {
   obs::SetEnabled(true);
   EXPECT_EQ(solves(), before + 1);
   obs::SetEnabled(was_enabled);
+}
+
+// -- The lock-step pair driver -----------------------------------------------
+
+// Two dense symmetric operators as a pair, counting how the driver reaches
+// them: paired applies while both sides run, single applies after.
+class DensePair final : public LinearOperatorPair {
+ public:
+  DensePair(const Matrix& a0, const Matrix& a1)
+      : ops_{DenseSymmetricOperator(a0), DenseSymmetricOperator(a1)} {}
+
+  size_t Dim() const override { return ops_[0].Dim(); }
+
+  void Apply(size_t side, const std::vector<double>& x,
+             std::vector<double>& y) const override {
+    ++single_applies[side];
+    ops_[side].Apply(x, y);
+  }
+
+  void ApplyPair(const std::vector<double>& x0, const std::vector<double>& x1,
+                 std::vector<double>& y0,
+                 std::vector<double>& y1) const override {
+    ++pair_applies;
+    ops_[0].Apply(x0, y0);
+    ops_[1].Apply(x1, y1);
+  }
+
+  mutable size_t pair_applies = 0;
+  mutable size_t single_applies[2] = {0, 0};
+
+ private:
+  DenseSymmetricOperator ops_[2];
+};
+
+// The lower and upper endpoint Grams of a random non-negative interval
+// matrix, rows x cols: the pair ISVD2-4 solve.
+std::pair<Matrix, Matrix> EndpointGrams(size_t rows, size_t cols, Rng& rng) {
+  const Matrix lo = RandomMatrix(rows, cols, rng, 0.0, 1.0);
+  Matrix hi = lo;
+  for (size_t i = 0; i < rows; ++i)
+    for (size_t j = 0; j < cols; ++j) hi(i, j) += rng.Uniform(0.0, 0.5);
+  return {lo.Transpose() * lo, hi.Transpose() * hi};
+}
+
+// A pair solve must return what two single solves with the same options
+// return: same iteration counts and flags, values within 1e-10, and (the
+// dense pair applies each side exactly as a single apply) the same vectors.
+void ExpectPairMatchesSingles(const Matrix& a0, const Matrix& a1, size_t rank,
+                              const LanczosOptions& o0,
+                              const LanczosOptions& o1) {
+  const DensePair pair(a0, a1);
+  const std::array<EigResult, 2> got = ComputeLanczosEigPair(pair, rank, o0, o1);
+  const EigResult want[2] = {
+      ComputeLanczosEig(DenseSymmetricOperator(a0), rank, o0),
+      ComputeLanczosEig(DenseSymmetricOperator(a1), rank, o1)};
+  for (size_t side = 0; side < 2; ++side) {
+    SCOPED_TRACE(side);
+    EXPECT_EQ(got[side].iterations, want[side].iterations);
+    EXPECT_EQ(got[side].truncated, want[side].truncated);
+    ASSERT_EQ(got[side].eigenvalues.size(), want[side].eigenvalues.size());
+    const double scale = std::abs(want[side].eigenvalues[0]) + 1.0;
+    for (size_t j = 0; j < want[side].eigenvalues.size(); ++j) {
+      EXPECT_NEAR(got[side].eigenvalues[j], want[side].eigenvalues[j],
+                  1e-10 * scale);
+    }
+    EXPECT_LT(MaxAbsDiff(got[side].eigenvectors, want[side].eigenvectors),
+              1e-10);
+  }
+  // One paired apply per step while both sides run, single applies after.
+  const size_t shorter = std::min(want[0].iterations, want[1].iterations);
+  EXPECT_EQ(pair.pair_applies, shorter);
+  EXPECT_EQ(pair.single_applies[0], want[0].iterations - shorter);
+  EXPECT_EQ(pair.single_applies[1], want[1].iterations - shorter);
+}
+
+TEST(LanczosPairTest, MatchesTwoSingleSolves) {
+  Rng rng(501);
+  const auto [a0, a1] = EndpointGrams(40, 30, rng);
+  LanczosOptions o0, o1;
+  o1.seed = o0.seed + 1;
+  ExpectPairMatchesSingles(a0, a1, 5, o0, o1);
+}
+
+TEST(LanczosPairTest, OneSideExitsEarlyOnItsWarmBasis) {
+  // Only side 0 has a warm basis, so it meets its early exit first; side 1
+  // finishes its cold solve on single applies.
+  Rng rng(502);
+  const auto [a0, a1] = EndpointGrams(60, 50, rng);
+  LanczosOptions cold;
+  cold.convergence_tol = 1e-10;
+  LanczosOptions warm = cold;
+  warm.start_basis =
+      ComputeLanczosEig(DenseSymmetricOperator(a0), 4, cold).eigenvectors;
+  const EigResult warm_alone =
+      ComputeLanczosEig(DenseSymmetricOperator(a0), 4, warm);
+  const EigResult cold_alone =
+      ComputeLanczosEig(DenseSymmetricOperator(a1), 4, cold);
+  ASSERT_LT(warm_alone.iterations, cold_alone.iterations);
+  ExpectPairMatchesSingles(a0, a1, 4, warm, cold);
+  // And with the sides swapped, the warm side is side 1.
+  ExpectPairMatchesSingles(a1, a0, 4, cold, warm);
+}
+
+TEST(LanczosPairTest, ZeroLowerEndpointRestartsOnItsOwnSide) {
+  // A zero lower endpoint stalls at its first step and restarts to the
+  // full basis; the upper side runs its normal recurrence beside it.
+  Rng rng(503);
+  const Matrix zero(20, 20);
+  const Matrix f = RandomMatrix(20, 6, rng, 0.0, 1.0);
+  const Matrix upper = f * f.Transpose();
+  ExpectPairMatchesSingles(zero, upper, 4, {}, {});
+  const std::array<EigResult, 2> got =
+      ComputeLanczosEigPair(DensePair(zero, upper), 4, {}, {});
+  EXPECT_FALSE(got[0].truncated);
+  ASSERT_EQ(got[0].eigenvalues.size(), 4u);
+  for (const double lambda : got[0].eigenvalues) EXPECT_EQ(lambda, 0.0);
+}
+
+TEST(LanczosPairTest, ExhaustedSideAloneIsTruncated) {
+  // An unsatisfiable restart tolerance on the zero lower side only: its
+  // basis cannot grow, so it stops early and reports `truncated`, while the
+  // upper side runs to its cap on single applies and is not truncated.
+  Rng rng(504);
+  const Matrix zero(20, 20);
+  const Matrix f = RandomMatrix(20, 6, rng, 0.0, 1.0);
+  const Matrix upper = f * f.Transpose();
+  LanczosOptions strict;
+  strict.restart_tolerance = 1e9;
+  ExpectPairMatchesSingles(zero, upper, 4, strict, {});
+  const std::array<EigResult, 2> got =
+      ComputeLanczosEigPair(DensePair(zero, upper), 4, strict, {});
+  EXPECT_TRUE(got[0].truncated);
+  EXPECT_LT(got[0].eigenvalues.size(), 4u);
+  EXPECT_FALSE(got[1].truncated);
+  EXPECT_EQ(got[1].eigenvalues.size(), 4u);
 }
 
 }  // namespace

@@ -17,16 +17,23 @@
 // invariant under transposition, so the sharded result is compared with
 // the CSR route pinned to MᵀM.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
 #include "core/sparse_isvd.h"
+#include "linalg/lanczos.h"
+#include "linalg/lanczos_svd.h"
 #include "sparse/block_matrix.h"
 #include "sparse/shard_store.h"
+#include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
+#include "sparse/sparse_kernels.h"
 
 namespace ivmf {
 namespace {
@@ -128,6 +135,83 @@ TEST_P(ShardedIsvdWide, AutoGramSideMatchesMonolithic) {
 
 INSTANTIATE_TEST_SUITE_P(Strategies, ShardedIsvdWide,
                          ::testing::Values(0, 1, 2, 3, 4));
+
+// The endpoint pairs over the sharded store, in memory (every backend) and
+// mapped: each pair method against two single-endpoint sharded applies,
+// and the lock-step Gram eigensolve and Golub-Kahan SVD against two single
+// solves, which ISVD1-4 run on this store.
+TEST(ShardedPairTest, PairAppliesAndSolvesMatchTwoSingles) {
+  const SparseIntervalMatrix base =
+      MakeSparseFixture(150, 45, 0.2, /*signed_values=*/false, 970);
+  const auto expect_near = [](const std::vector<double>& got,
+                              const std::vector<double>& want,
+                              const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i], want[i], 1e-12 * std::max(1.0, std::fabs(want[i])))
+          << what << "[" << i << "]";
+    }
+  };
+  using Endpoint = ShardedSparseIntervalMatrix::Endpoint;
+  Rng rng(971);
+  std::vector<double> xc_lo(45), xc_hi(45), xr_lo(150), xr_hi(150);
+  for (auto* v : {&xc_lo, &xc_hi, &xr_lo, &xr_hi}) {
+    for (double& x : *v) x = rng.Uniform(-1.0, 1.0);
+  }
+  LanczosOptions o0, o1;
+  o1.seed = o0.seed + 1;
+  for (const spk::Backend backend :
+       {spk::Backend::kScalar, spk::Backend::kAvx2, spk::Backend::kSell}) {
+    for (const bool mmap : {false, true}) {
+      SparseIntervalMatrix mono = base;
+      mono.set_kernel(backend);
+      const ShardedSparseIntervalMatrix m = ShardedSparseIntervalMatrix::FromCsr(
+          mono, 32, mmap ? BackingPolicy::Mmap() : BackingPolicy::Memory());
+      SCOPED_TRACE(std::string(spk::BackendName(m.resolved_kernel())) +
+                   (mmap ? "/mmap" : "/memory"));
+      std::vector<double> lo, hi, want_lo, want_hi;
+      m.MultiplyPair(xc_lo, xc_hi, lo, hi);
+      m.Multiply(Endpoint::kLower, xc_lo, want_lo);
+      m.Multiply(Endpoint::kUpper, xc_hi, want_hi);
+      expect_near(lo, want_lo, "multiply_pair.lo");
+      expect_near(hi, want_hi, "multiply_pair.hi");
+      m.MultiplyTransposePair(xr_lo, xr_hi, lo, hi);
+      m.MultiplyTranspose(Endpoint::kLower, xr_lo, want_lo);
+      m.MultiplyTranspose(Endpoint::kUpper, xr_hi, want_hi);
+      expect_near(lo, want_lo, "transpose_pair.lo");
+      expect_near(hi, want_hi, "transpose_pair.hi");
+      m.GramMultiplyPair(xc_lo, xc_hi, lo, hi);
+      m.GramMultiply(Endpoint::kLower, xc_lo, want_lo);
+      m.GramMultiply(Endpoint::kUpper, xc_hi, want_hi);
+      expect_near(lo, want_lo, "gram_pair.lo");
+      expect_near(hi, want_hi, "gram_pair.hi");
+
+      const std::array<EigResult, 2> eig =
+          ComputeLanczosEigPair(GramOperatorPair(m), 5, o0, o1);
+      const std::array<SvdResult, 2> svd =
+          ComputeLanczosSvdPair(EndpointMapPair(m), 5, o0, o1);
+      for (size_t side = 0; side < 2; ++side) {
+        const Endpoint e = side == 0 ? Endpoint::kLower : Endpoint::kUpper;
+        const EigResult eig_alone = ComputeLanczosEig(
+            ShardedGramOperator(m, e), 5, side == 0 ? o0 : o1);
+        const SvdResult svd_alone = ComputeLanczosSvd(
+            ShardedEndpointMap(m, side == 0 ? ShardedEndpointMap::Part::kLower
+                                            : ShardedEndpointMap::Part::kUpper),
+            5, side == 0 ? o0 : o1);
+        EXPECT_EQ(eig[side].iterations, eig_alone.iterations);
+        EXPECT_EQ(svd[side].iterations, svd_alone.iterations);
+        ASSERT_EQ(eig[side].eigenvalues.size(), 5u);
+        ASSERT_EQ(svd[side].sigma.size(), 5u);
+        for (size_t j = 0; j < 5; ++j) {
+          EXPECT_NEAR(eig[side].eigenvalues[j], eig_alone.eigenvalues[j],
+                      1e-10 * eig_alone.eigenvalues[0]);
+          EXPECT_NEAR(svd[side].sigma[j], svd_alone.sigma[j],
+                      1e-10 * svd_alone.sigma[0]);
+        }
+      }
+    }
+  }
+}
 
 // GTest death tests fork, which ThreadSanitizer does not support.
 #if defined(__SANITIZE_THREAD__)

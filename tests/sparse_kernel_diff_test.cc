@@ -626,6 +626,129 @@ TEST_P(SparseKernelDiffTest, SellScattersAndGramMatchScalarKernels) {
   }
 }
 
+TEST_P(SparseKernelDiffTest, PairKernelsMatchTwoScalarSingles) {
+  // The AVX2 endpoint-pair kernels (forward, row scatter, fused Gram) on
+  // interleaved vectors, in both index widths, against two scalar
+  // single-endpoint applies with a different vector per side. The grid has
+  // empty rows, row lengths with remainders 1-3 past the 4- and 8-entry
+  // blocks, and signed values; every pair call repeats bit-identically.
+  if (!spk::Avx2Compiled() || !spk::Avx2Supported()) {
+    GTEST_SKIP() << "the pair kernels need AVX2";
+  }
+  const bool non_negative = GetParam();
+  Rng rng(21);
+  for (const Shape& s : MakeShapes(non_negative)) {
+    const SparseIntervalMatrix m = Build(s, spk::Backend::kScalar);
+    const spk::CsrView csr{m.rows(), m.cols(), m.row_ptr().data(),
+                           m.col_idx().data()};
+    const PackedIndices packed(m);
+    const double* lo = m.lower_values().data();
+    const double* hi = m.upper_values().data();
+    const size_t rows = m.rows();
+    const size_t cols = m.cols();
+    const std::vector<double> xc_lo = RandomVector(rng, cols);
+    const std::vector<double> xc_hi = RandomVector(rng, cols);
+    const std::vector<double> xr_lo = RandomVector(rng, rows);
+    const std::vector<double> xr_hi = RandomVector(rng, rows);
+    std::vector<double> xc2(2 * cols), xr2(2 * rows);
+    spk::Interleave(xc_lo.data(), xc_hi.data(), cols, xc2.data());
+    spk::Interleave(xr_lo.data(), xr_hi.data(), rows, xr2.data());
+
+    // The interleaved (lo, hi) pairs of two single-endpoint results.
+    const auto interleaved = [](const std::vector<double>& a,
+                                const std::vector<double>& b) {
+      std::vector<double> out(2 * a.size());
+      spk::Interleave(a.data(), b.data(), a.size(), out.data());
+      return out;
+    };
+    std::vector<double> fwd_lo(rows), fwd_hi(rows), t_lo(cols, 0.0),
+        t_hi(cols, 0.0), gram_lo(cols, 0.0), gram_hi(cols, 0.0);
+    spk::MatVecScalar(csr, lo, xc_lo.data(), fwd_lo.data(), 0, rows);
+    spk::MatVecScalar(csr, hi, xc_hi.data(), fwd_hi.data(), 0, rows);
+    spk::MatVecTScalar(csr, lo, xr_lo.data(), t_lo.data(), 0, rows);
+    spk::MatVecTScalar(csr, hi, xr_hi.data(), t_hi.data(), 0, rows);
+    spk::GramFusedScalar(csr, lo, xc_lo.data(), gram_lo.data(), 0, rows);
+    spk::GramFusedScalar(csr, hi, xc_hi.data(), gram_hi.data(), 0, rows);
+    const std::vector<double> want_fwd = interleaved(fwd_lo, fwd_hi);
+    const std::vector<double> want_t = interleaved(t_lo, t_hi);
+    const std::vector<double> want_gram = interleaved(gram_lo, gram_hi);
+
+    for (bool narrow : {true, false}) {
+      const spk::PackedCsrView view = packed.View(m, narrow);
+      const std::string what = s.name + (narrow ? "/u16" : "/u32") +
+                               (non_negative ? "/nonneg" : "/signed");
+      ExpectVectorNear(
+          RunTwiceBitEqual(
+              2 * rows,
+              [&](double* y) {
+                spk::MatVecPairPackedAvx2(view, lo, hi, xc2.data(), y, 0,
+                                          rows);
+              },
+              "MatVecPairPackedAvx2/" + what),
+          want_fwd, "MatVecPairPackedAvx2/" + what);
+      ExpectVectorNear(
+          RunTwiceBitEqual(
+              2 * cols,
+              [&](double* y) {
+                spk::MatVecTPairPackedAvx2(view, lo, hi, xr2.data(), y, 0,
+                                           rows);
+              },
+              "MatVecTPairPackedAvx2/" + what),
+          want_t, "MatVecTPairPackedAvx2/" + what);
+      ExpectVectorNear(
+          RunTwiceBitEqual(
+              2 * cols,
+              [&](double* y) {
+                spk::GramFusedPairPackedAvx2(view, lo, hi, xc2.data(), y, 0,
+                                             rows);
+              },
+              "GramFusedPairPackedAvx2/" + what),
+          want_gram, "GramFusedPairPackedAvx2/" + what);
+    }
+  }
+}
+
+TEST_P(SparseKernelDiffTest, PairMethodsMatchTwoSingleApplies) {
+  // SparseIntervalMatrix's pair methods on every backend (the AVX2 pair
+  // kernels, or two single kernels in one parallel region) against two
+  // single-endpoint applies on the scalar backend.
+  const bool non_negative = GetParam();
+  Rng rng(22);
+  for (const Shape& s : MakeShapes(non_negative)) {
+    const SparseIntervalMatrix ref = Build(s, spk::Backend::kScalar);
+    const std::vector<double> xc_lo = RandomVector(rng, s.cols);
+    const std::vector<double> xc_hi = RandomVector(rng, s.cols);
+    const std::vector<double> xr_lo = RandomVector(rng, s.rows);
+    const std::vector<double> xr_hi = RandomVector(rng, s.rows);
+    std::vector<double> want_lo, want_hi, got_lo, got_hi, again_lo, again_hi;
+    for (spk::Backend backend : kBackends) {
+      const SparseIntervalMatrix m = Build(s, backend);
+      const std::string what = CaseName(s, backend, non_negative);
+      const auto check = [&](const char* kernel) {
+        ExpectVectorNear(got_lo, want_lo, what + "/" + kernel + ".lo");
+        ExpectVectorNear(got_hi, want_hi, what + "/" + kernel + ".hi");
+        EXPECT_EQ(got_lo, again_lo) << what << "/" << kernel << " repeat";
+        EXPECT_EQ(got_hi, again_hi) << what << "/" << kernel << " repeat";
+      };
+      ref.Multiply(Endpoint::kLower, xc_lo, want_lo);
+      ref.Multiply(Endpoint::kUpper, xc_hi, want_hi);
+      m.MultiplyPair(xc_lo, xc_hi, got_lo, got_hi);
+      m.MultiplyPair(xc_lo, xc_hi, again_lo, again_hi);
+      check("multiply_pair");
+      ref.MultiplyTranspose(Endpoint::kLower, xr_lo, want_lo);
+      ref.MultiplyTranspose(Endpoint::kUpper, xr_hi, want_hi);
+      m.MultiplyTransposePair(xr_lo, xr_hi, got_lo, got_hi);
+      m.MultiplyTransposePair(xr_lo, xr_hi, again_lo, again_hi);
+      check("multiply_transpose_pair");
+      ref.GramMultiply(Endpoint::kLower, xc_lo, want_lo);
+      ref.GramMultiply(Endpoint::kUpper, xc_hi, want_hi);
+      m.GramMultiplyPair(xc_lo, xc_hi, got_lo, got_hi);
+      m.GramMultiplyPair(xc_lo, xc_hi, again_lo, again_hi);
+      check("gram_pair");
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Regimes, SparseKernelDiffTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
@@ -748,6 +871,9 @@ TEST(SparseKernelDeathTest, MultiplyRejectsAliasedOutput) {
   EXPECT_DEATH(m.Multiply(Endpoint::kLower, x, x), "alias");
   EXPECT_DEATH(m.MultiplyMid(x, x), "alias");
   EXPECT_DEATH(m.MultiplyTranspose(Endpoint::kLower, x, x), "alias");
+  std::vector<double> x_hi = {3.0, 4.0}, y;
+  EXPECT_DEATH(m.MultiplyPair(x, x_hi, x_hi, y), "alias");
+  EXPECT_DEATH(m.GramMultiplyPair(x, x_hi, y, y), "alias");
 }
 #endif
 

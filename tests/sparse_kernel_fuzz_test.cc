@@ -223,6 +223,66 @@ void RunTrial(uint64_t seed, RowDist dist) {
     SparseGramOperator(m, Endpoint::kLower).Apply(x, y);
     ExpectAgree(y, ref_gram_lo, what + "/gram_transpose_free.lo");
   }
+
+  // The endpoint pairs on every backend, with a different vector per side,
+  // against two scalar single-endpoint applies; each repeats bit-identically.
+  const std::vector<double> xt2 = RandomVector(rng, rows);
+  std::vector<double> ref_t_hi, ref_gram_hi_x2;
+  scalar.MultiplyTranspose(Endpoint::kUpper, xt2, ref_t_hi);
+  scalar.GramMultiply(Endpoint::kUpper, x2, ref_gram_hi_x2);
+  for (spk::Backend backend :
+       {spk::Backend::kScalar, spk::Backend::kAvx2, spk::Backend::kSell}) {
+    SparseIntervalMatrix m = base;
+    m.set_kernel(backend);
+    const std::string what = tag + "/" + spk::BackendName(backend);
+    std::vector<double> y_lo, y_hi, again_lo, again_hi;
+    m.MultiplyPair(x, x2, y_lo, y_hi);
+    ExpectAgree(y_lo, ref_lo, what + "/multiply_pair.lo");
+    ExpectAgree(y_hi, ref_hi_x2, what + "/multiply_pair.hi");
+    m.MultiplyTransposePair(xt, xt2, y_lo, y_hi);
+    ExpectAgree(y_lo, ref_t, what + "/transpose_pair.lo");
+    ExpectAgree(y_hi, ref_t_hi, what + "/transpose_pair.hi");
+    m.MultiplyTransposePair(xt, xt2, again_lo, again_hi);
+    ASSERT_EQ(y_lo, again_lo) << what << "/transpose_pair repeat";
+    ASSERT_EQ(y_hi, again_hi) << what << "/transpose_pair repeat";
+    m.GramMultiplyPair(x, x2, y_lo, y_hi);
+    ExpectAgree(y_lo, ref_gram_lo, what + "/gram_pair.lo");
+    ExpectAgree(y_hi, ref_gram_hi_x2, what + "/gram_pair.hi");
+    m.GramMultiplyPair(x, x2, again_lo, again_hi);
+    ASSERT_EQ(y_lo, again_lo) << what << "/gram_pair repeat";
+    ASSERT_EQ(y_hi, again_hi) << what << "/gram_pair repeat";
+  }
+
+  // The AVX2 pair kernels directly on a 32-bit sidecar, which the matrix
+  // (at most 90 columns) never picks for itself.
+  if (spk::Avx2Compiled() && spk::Avx2Supported()) {
+    const std::vector<uint32_t> col32(base.col_idx().begin(),
+                                      base.col_idx().end());
+    spk::PackedCsrView view;
+    view.rows = rows;
+    view.cols = cols;
+    view.row_ptr = base.row_ptr().data();
+    view.col32 = col32.data();
+    const double* lo = base.lower_values().data();
+    const double* hi = base.upper_values().data();
+    std::vector<double> xc2(2 * cols), xr2(2 * rows), y2(2 * cols, 0.0),
+        f2(2 * rows), y_lo(cols), y_hi(cols), f_lo(rows), f_hi(rows);
+    spk::Interleave(x.data(), x2.data(), cols, xc2.data());
+    spk::Interleave(xt.data(), xt2.data(), rows, xr2.data());
+    spk::MatVecPairPackedAvx2(view, lo, hi, xc2.data(), f2.data(), 0, rows);
+    spk::Deinterleave(f2.data(), rows, f_lo.data(), f_hi.data());
+    ExpectAgree(f_lo, ref_lo, tag + "/u32/multiply_pair.lo");
+    ExpectAgree(f_hi, ref_hi_x2, tag + "/u32/multiply_pair.hi");
+    spk::MatVecTPairPackedAvx2(view, lo, hi, xr2.data(), y2.data(), 0, rows);
+    spk::Deinterleave(y2.data(), cols, y_lo.data(), y_hi.data());
+    ExpectAgree(y_lo, ref_t, tag + "/u32/transpose_pair.lo");
+    ExpectAgree(y_hi, ref_t_hi, tag + "/u32/transpose_pair.hi");
+    std::fill(y2.begin(), y2.end(), 0.0);
+    spk::GramFusedPairPackedAvx2(view, lo, hi, xc2.data(), y2.data(), 0, rows);
+    spk::Deinterleave(y2.data(), cols, y_lo.data(), y_hi.data());
+    ExpectAgree(y_lo, ref_gram_lo, tag + "/u32/gram_pair.lo");
+    ExpectAgree(y_hi, ref_gram_hi_x2, tag + "/u32/gram_pair.hi");
+  }
 }
 
 TEST(SparseKernelFuzzTest, UniformFill) {
